@@ -355,45 +355,6 @@ pub struct RunCacheCounters {
     pub executions: u64,
 }
 
-/// The persistent disk tier under the in-memory cache: a shared
-/// [`RunStore`] plus the config hash scoping this study's records.
-/// Consulted only on memory misses; fills are write-behind.
-struct StoreTier {
-    store: Arc<RunStore>,
-    config_hash: u64,
-}
-
-impl StoreTier {
-    fn id_of(&self, key_bytes: &[u8]) -> RecordId {
-        RecordId::of(key_bytes, self.config_hash)
-    }
-
-    /// Recalls `key` from disk: read-back-verified by the store, then
-    /// decoded here. A payload that passed the store's checksum but does
-    /// not decode (codec skew) is invalidated and treated as a miss —
-    /// damaged bytes never reach the pricing.
-    fn recall(&self, key: &RunKey) -> Option<RawRun> {
-        let key_bytes = crate::storebytes::encode_key(key);
-        let id = self.id_of(&key_bytes);
-        let payload = self.store.recall(id, &key_bytes)?;
-        match crate::storebytes::decode_run(&payload) {
-            Some(run) => Some(run),
-            None => {
-                self.store.invalidate(id);
-                None
-            }
-        }
-    }
-
-    /// Queues a freshly computed run for write-behind persistence.
-    fn spill(&self, key: &RunKey, run: &RawRun) {
-        let key_bytes = crate::storebytes::encode_key(key);
-        let id = self.id_of(&key_bytes);
-        self.store
-            .append(id, key_bytes, crate::storebytes::encode_run(run));
-    }
-}
-
 /// The fleet tier under the disk tier: anything that can recall the
 /// payload bytes for a content address from somewhere else — in
 /// practice `fleet::FleetTier` asking peer `studyd` nodes. The trait
@@ -407,22 +368,55 @@ pub trait RemoteTier: Send + Sync {
     fn recall(&self, id: RecordId, key: &[u8]) -> Option<Vec<u8>>;
 }
 
-/// The fleet tier hook: a [`RemoteTier`] plus the config hash scoping
-/// this study's records, mirroring [`StoreTier`].
-struct FleetHook {
-    remote: Arc<dyn RemoteTier>,
+/// The recall tiers under the in-memory cache: an optional local
+/// [`RunStore`], then an optional fleet, both scoped to the config hash
+/// of the study that attached them.
+#[derive(Default)]
+struct Recall {
     config_hash: u64,
+    store: Option<Arc<RunStore>>,
+    fleet: Option<Arc<dyn RemoteTier>>,
 }
 
-impl FleetHook {
-    /// Recalls `key` from the fleet. The remote tier verified the raw
-    /// record; a payload that then fails *our* codec (version skew
-    /// between peers) is simply a miss — never an answer.
-    fn recall(&self, key: &RunKey) -> Option<RawRun> {
+impl Recall {
+    /// Fills a memory miss of `key`: a verified disk recall, else a
+    /// verified fleet recall, else `compute`. A fleet hit or a fresh run
+    /// is spilled to the store write-behind, so the next restart (or a
+    /// peer recalling from us) is served from disk. The key bytes and
+    /// record id are encoded once, here, for all three steps.
+    fn fill(
+        &self,
+        key: &RunKey,
+        compute: impl FnOnce() -> Result<RawRun, StudyError>,
+    ) -> Result<RawRun, StudyError> {
+        if self.store.is_none() && self.fleet.is_none() {
+            return compute();
+        }
         let key_bytes = crate::storebytes::encode_key(key);
         let id = RecordId::of(&key_bytes, self.config_hash);
-        let payload = self.remote.recall(id, &key_bytes)?;
-        crate::storebytes::decode_run(&payload)
+        if let Some(store) = &self.store {
+            if let Some(payload) = store.recall(id, &key_bytes) {
+                // A payload that passed the store's checksum but does
+                // not decode (codec skew) is invalidated and treated as
+                // a miss — damaged bytes never reach the pricing.
+                match crate::storebytes::decode_run(&payload) {
+                    Some(run) => return Ok(run),
+                    None => store.invalidate(id),
+                }
+            }
+        }
+        // The fleet verified the raw record; a payload that then fails
+        // our codec (version skew between peers) is simply a miss.
+        let result = self
+            .fleet
+            .as_ref()
+            .and_then(|fleet| fleet.recall(id, &key_bytes))
+            .and_then(|payload| crate::storebytes::decode_run(&payload))
+            .map_or_else(compute, Ok);
+        if let (Some(store), Ok(run)) = (&self.store, &result) {
+            store.append(id, key_bytes, crate::storebytes::encode_run(run));
+        }
+        result
     }
 }
 
@@ -431,14 +425,14 @@ impl FleetHook {
 /// coalesced: a thread requesting a run another thread is already
 /// executing blocks until that run lands, then reads it from the cache.
 ///
-/// Optionally backed by a persistent [`RunStore`] tier (memory → disk →
-/// compute): memory misses consult the store before simulating, and
-/// fresh results are spilled to it write-behind, so a later process (or
+/// Optionally backed by recall tiers attached through [`Study`] (memory
+/// → disk → fleet → compute): memory misses consult a persistent
+/// [`RunStore`], then a [`RemoteTier`], before simulating, and fresh
+/// results are spilled to the store write-behind, so a later process (or
 /// a restarted server) recalls them instead of recomputing.
 pub struct RunCache {
     shards: Vec<Mutex<HashMap<RunKey, Slot>>>,
-    store: Option<StoreTier>,
-    fleet: Option<FleetHook>,
+    recall: Recall,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
@@ -465,8 +459,7 @@ impl RunCache {
         let shards = shards.max(1);
         RunCache {
             shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            store: None,
-            fleet: None,
+            recall: Recall::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -474,32 +467,16 @@ impl RunCache {
         }
     }
 
-    /// Attaches a persistent store as the tier below memory; records are
-    /// scoped to `config_hash` (see [`crate::storebytes::config_hash`]).
-    pub fn attach_store(&mut self, store: Arc<RunStore>, config_hash: u64) {
-        self.store = Some(StoreTier { store, config_hash });
-    }
-
-    /// Attaches a fleet tier below the disk tier (memory → disk → fleet
-    /// → compute); records are scoped to `config_hash` exactly like the
-    /// disk tier's.
-    pub fn attach_fleet(&mut self, remote: Arc<dyn RemoteTier>, config_hash: u64) {
-        self.fleet = Some(FleetHook {
-            remote,
-            config_hash,
-        });
-    }
-
     /// Disk-tier traffic counters, if a store is attached.
     pub fn store_counters(&self) -> Option<StoreCounters> {
-        self.store.as_ref().map(|tier| tier.store.counters())
+        self.recall.store.as_ref().map(|store| store.counters())
     }
 
     /// Blocks until every write-behind spill is durable (no-op without a
     /// store). Call before expecting another process to see the records.
     pub fn flush_store(&self) {
-        if let Some(tier) = &self.store {
-            tier.store.flush();
+        if let Some(store) = &self.recall.store {
+            store.flush();
         }
     }
 
@@ -608,22 +585,12 @@ impl RunCache {
                         inflight: Arc::clone(&inflight),
                         armed: true,
                     };
-                    // The tier order below memory: a verified disk
-                    // recall, then a verified fleet recall, satisfies
-                    // the miss; only a fleet-wide miss actually runs the
-                    // simulator. Fresh runs spill to the store
-                    // write-behind.
-                    let result = match self.recall_tiers(&key) {
-                        Some(recalled) => Ok(recalled),
-                        None => {
-                            self.executions.fetch_add(1, Ordering::Relaxed);
-                            let computed = run();
-                            if let (Some(tier), Ok(r)) = (self.store.as_ref(), &computed) {
-                                tier.spill(&key, r);
-                            }
-                            computed
-                        }
-                    };
+                    // Only a miss in every recall tier actually runs the
+                    // simulator.
+                    let result = self.recall.fill(&key, || {
+                        self.executions.fetch_add(1, Ordering::Relaxed);
+                        run()
+                    });
                     guard.armed = false;
                     drop(guard);
                     // lint: allow(unwrap): a poisoned lock means a worker panicked; propagate
@@ -642,21 +609,6 @@ impl RunCache {
                 }
             }
         }
-    }
-
-    /// The recall tiers under memory, in order: local disk, then the
-    /// fleet. A fleet hit is spilled to the local store too, so the next
-    /// restart (or a peer recalling from *us*) is served from disk
-    /// without re-asking the fleet.
-    fn recall_tiers(&self, key: &RunKey) -> Option<RawRun> {
-        if let Some(recalled) = self.store.as_ref().and_then(|t| t.recall(key)) {
-            return Some(recalled);
-        }
-        let recalled = self.fleet.as_ref().and_then(|f| f.recall(key))?;
-        if let Some(tier) = self.store.as_ref() {
-            tier.spill(key, &recalled);
-        }
-        Some(recalled)
     }
 }
 
@@ -751,8 +703,7 @@ impl Study {
     /// a store shared across studies can never serve a run computed
     /// under different simulator knobs.
     pub fn attach_store(&mut self, store: Arc<RunStore>) {
-        let hash = crate::storebytes::config_hash(self.ctx.config());
-        self.cache.attach_store(store, hash);
+        self.recall_tiers().store = Some(store);
     }
 
     /// Attaches a fleet tier below the disk tier (memory → disk → fleet
@@ -760,8 +711,14 @@ impl Study {
     /// [`Study::attach_store`] — a peer under different simulator knobs
     /// can never answer our recalls.
     pub fn attach_fleet(&mut self, remote: Arc<dyn RemoteTier>) {
-        let hash = crate::storebytes::config_hash(self.ctx.config());
-        self.cache.attach_fleet(remote, hash);
+        self.recall_tiers().fleet = Some(remote);
+    }
+
+    /// The cache's recall tiers, scoped to this study's configuration.
+    fn recall_tiers(&mut self) -> &mut Recall {
+        let tiers = &mut self.cache.recall;
+        tiers.config_hash = crate::storebytes::config_hash(self.ctx.config());
+        tiers
     }
 
     /// Disk-tier traffic counters, if a store is attached.

@@ -14,7 +14,7 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use runstore::{RecordId, SegmentInfo};
+use runstore::RecordId;
 
 use crate::wire::{self, FleetReply, FleetRequest};
 use crate::{IO_TIMEOUT, MAX_REPLY_BYTES};
@@ -68,44 +68,12 @@ impl PeerClient {
             key: key.to_vec(),
             config_hash: id.config_hash,
         };
-        match self.round_trip(&request)? {
-            FleetReply::Record(record) => Ok(record),
-            other => Err(protocol_error(&other)),
-        }
-    }
-
-    /// Asks the peer for its segment inventory.
-    ///
-    /// # Errors
-    ///
-    /// As [`PeerClient::recall`].
-    pub fn inventory(&self) -> io::Result<Vec<SegmentInfo>> {
-        match self.round_trip(&FleetRequest::Inventory)? {
-            FleetReply::Inventory(segments) => Ok(segments),
-            other => Err(protocol_error(&other)),
-        }
-    }
-
-    /// Pulls one whole segment file from the peer as raw bytes. The
-    /// bytes are NOT yet verified — hand them to
-    /// `RunStore::import_segment`, which checks every record.
-    ///
-    /// # Errors
-    ///
-    /// As [`PeerClient::recall`].
-    pub fn pull_segment(&self, name: &str) -> io::Result<Vec<u8>> {
-        let request = FleetRequest::PullSegment {
-            name: name.to_string(),
-        };
-        match self.round_trip(&request)? {
-            FleetReply::Segment(bytes) => Ok(bytes),
-            other => Err(protocol_error(&other)),
-        }
+        self.round_trip(&request)
     }
 
     /// One request/response exchange, reconnecting if needed. Any error
     /// drops the connection so the next call starts clean.
-    fn round_trip(&self, request: &FleetRequest) -> io::Result<FleetReply> {
+    fn round_trip(&self, request: &FleetRequest) -> io::Result<Option<Vec<u8>>> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let mut slot = self.conn.lock().unwrap_or_else(PoisonError::into_inner);
         if slot.is_none() {
@@ -134,7 +102,7 @@ impl PeerClient {
     }
 }
 
-fn exchange(conn: &mut Conn, id: u64, request: &FleetRequest) -> io::Result<FleetReply> {
+fn exchange(conn: &mut Conn, id: u64, request: &FleetRequest) -> io::Result<Option<Vec<u8>>> {
     let line = wire::request_line(id, request);
     conn.writer.write_all(line.as_bytes())?;
     conn.writer.flush()?;
@@ -150,8 +118,8 @@ fn exchange(conn: &mut Conn, id: u64, request: &FleetRequest) -> io::Result<Flee
         ));
     }
     match reply {
+        FleetReply::Record(record) => Ok(record),
         FleetReply::Err(message) => Err(io::Error::other(format!("peer refused: {message}"))),
-        other => Ok(other),
     }
 }
 
@@ -178,17 +146,4 @@ fn read_capped_line(reader: &mut BufReader<TcpStream>) -> io::Result<String> {
     }
     String::from_utf8(buf)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "fleet reply is not UTF-8"))
-}
-
-fn protocol_error(reply: &FleetReply) -> io::Error {
-    let kind = match reply {
-        FleetReply::Record(_) => "record",
-        FleetReply::Inventory(_) => "inventory",
-        FleetReply::Segment(_) => "segment",
-        FleetReply::Err(_) => "err",
-    };
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("peer answered the wrong reply kind: {kind}"),
-    )
 }

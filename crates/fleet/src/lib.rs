@@ -1,4 +1,4 @@
-//! Store-aware `studyd` fleet tier: remote recall and segment shipping.
+//! Store-aware `studyd` fleet tier: verified remote recall.
 //!
 //! A fleet node holds a static peer list. On a `RunCache` miss that also
 //! misses its local disk tier, it asks each peer in turn for the record
@@ -11,16 +11,9 @@
 //! poisoned or damaged peer record therefore becomes a miss, never a
 //! wrong answer. (The `fleet-poison-bug` feature seeds the obvious bug —
 //! trusting the peer blindly — for the CI negative smoke, mirroring
-//! runstore's `store-corruption-bug`.)
-//!
-//! Besides per-record recall, the crate implements anti-entropy segment
-//! shipping: [`FleetTier::sync_segments`] requests each peer's segment
-//! inventory and pulls whole segments as opaque bytes; the local
-//! `runstore` verifies every shipped record against its checksum and
-//! lands the verified set as a fresh per-process segment file (the
-//! scan-on-open union already handles foreign segments). This crate
-//! never touches the filesystem — it ships bytes and hands them to
-//! `runstore`, which owns all disk access.
+//! runstore's `store-corruption-bug`.) This crate never touches the
+//! filesystem: the serving peer reads records through `runstore`, which
+//! owns all disk access.
 //!
 //! Module map: [`wire`] is the request/response line codec (shared by
 //! this crate's client and the `studyd` server), [`client`] the blocking
@@ -37,16 +30,17 @@ pub mod tier;
 pub mod wire;
 
 pub use client::PeerClient;
-pub use tier::{FleetCounters, FleetTier, SyncReport};
+pub use tier::{FleetCounters, FleetTier};
 pub use wire::{FleetReply, FleetRequest};
 
 use runstore::RecordId;
 
-/// Hard cap on one reply line read from a peer, bytes. The largest
-/// legitimate reply is a hex-encoded whole segment (a segment rotates
-/// past 8 MiB and a single record can add up to ~16 MiB, so the hex
-/// doubles that); anything bigger is framing damage or abuse.
-pub const MAX_REPLY_BYTES: usize = 96 * 1024 * 1024;
+/// Hard cap on one reply line read from a peer, bytes — the same bound
+/// as `studyd::MAX_LINE_BYTES` on request lines. The only reply a peer
+/// sends is one hex-encoded record: a timing run's key and payload come
+/// to a few hundred bytes, so its `record` line is under 1 KiB. Anything
+/// longer is framing damage or abuse, and reads as a peer error.
+pub const MAX_REPLY_BYTES: usize = 64 * 1024;
 
 /// Per-call socket timeout on peer connections. A hung or dead peer
 /// costs one recall at most this much and then reads as a miss — the

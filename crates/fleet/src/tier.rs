@@ -1,4 +1,4 @@
-//! The fleet recall tier and anti-entropy shipping.
+//! The fleet recall tier.
 //!
 //! [`FleetTier`] implements [`simcore::RemoteTier`]: on a local
 //! memory+disk miss the study asks each peer in list order and takes
@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use runstore::{RecordId, RunStore};
+use runstore::RecordId;
 use simcore::RemoteTier;
 
 use crate::client::PeerClient;
@@ -33,25 +33,6 @@ pub struct FleetCounters {
     pub peer_errors: u64,
     /// Peers configured.
     pub peers: u64,
-}
-
-/// What one [`FleetTier::sync_segments`] anti-entropy pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SyncReport {
-    /// Peers whose inventory was fetched.
-    pub peers_reached: u64,
-    /// Whole segments pulled.
-    pub segments_pulled: u64,
-    /// Shipped records that verified and were installed locally.
-    pub records_installed: u64,
-    /// Shipped records already present locally (or duplicated across
-    /// shipped segments).
-    pub records_skipped: u64,
-    /// Shipped records rejected by checksum verification (torn or
-    /// corrupt shipping).
-    pub records_rejected: u64,
-    /// Local write failures while landing verified records.
-    pub io_errors: u64,
 }
 
 /// The fleet tier: a static peer list plus traffic counters.
@@ -90,51 +71,6 @@ impl FleetTier {
             peer_errors: self.peer_errors.load(Ordering::Relaxed),
             peers: self.peers.len() as u64,
         }
-    }
-
-    /// One anti-entropy pass: fetch every peer's segment inventory,
-    /// pull each segment that holds live records, and land the verified
-    /// records in `store` (which re-checksums record by record and
-    /// writes its own fresh segment — shipped bytes are never trusted
-    /// and never touch the filesystem from this crate). Idempotent:
-    /// records already present are skipped, so a repeated pass installs
-    /// nothing.
-    pub fn sync_segments(&self, store: &RunStore) -> SyncReport {
-        let mut report = SyncReport::default();
-        for peer in &self.peers {
-            let inventory = match peer.inventory() {
-                Ok(inventory) => inventory,
-                Err(_) => {
-                    self.peer_errors.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-            };
-            report.peers_reached += 1;
-            for segment in inventory {
-                if segment.records == 0 {
-                    // Nothing live in it — dead bytes awaiting the
-                    // peer's compaction; don't ship them.
-                    continue;
-                }
-                let bytes = match peer.pull_segment(&segment.name) {
-                    Ok(bytes) => bytes,
-                    Err(_) => {
-                        self.peer_errors.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                };
-                report.segments_pulled += 1;
-                match store.import_segment(&bytes) {
-                    Ok(imported) => {
-                        report.records_installed += imported.installed;
-                        report.records_skipped += imported.skipped;
-                        report.records_rejected += imported.rejected;
-                    }
-                    Err(_) => report.io_errors += 1,
-                }
-            }
-        }
-        report
     }
 }
 

@@ -1,31 +1,24 @@
-//! The fleet wire codec: request and response lines for remote recall
-//! and segment shipping, in the same one-JSON-document-per-LF-line
-//! framing (and the same `{"id": …, <kind>: …}` envelope) as the
-//! `studyd` protocol — the server answers these from the very
-//! connections that carry study requests.
+//! The fleet wire codec: request and response lines for remote recall,
+//! in the same one-JSON-document-per-LF-line framing (and the same
+//! `{"id": …, <kind>: …}` envelope) as the `studyd` protocol — the
+//! server answers these from the very connections that carry study
+//! requests.
 //!
 //! ## Grammar
 //!
 //! ```text
-//! request  = { "id": uint, "recall":    { "key": hex, "config_hash": uint } }
-//!          | { "id": uint, "inventory": true }
-//!          | { "id": uint, "segment":   segment-name }
-//! response = { "id": uint, "record":    hex | null }
-//!          | { "id": uint, "inventory": [ { "name": string,
-//!                                           "bytes": uint,
-//!                                           "records": uint } … ] }
-//!          | { "id": uint, "segment":   hex }
-//!          | { "id": uint, "err":       string }
+//! request  = { "id": uint, "recall": { "key": hex, "config_hash": uint } }
+//! response = { "id": uint, "record": hex | null }
+//!          | { "id": uint, "err":    string }
 //! ```
 //!
 //! `hex` is lowercase hex of opaque bytes ([`crate::hex`]): the full
 //! canonical key bytes in a recall request, one whole encoded record
-//! (header + key + payload) in a `record` response, one whole segment
-//! file in a `segment` response. Shipping the *encoded record* rather
-//! than the payload is what lets the requesting side run the store's
-//! own checksum and key verification before trusting a byte of it.
+//! (header + key + payload) in a `record` response. Shipping the
+//! *encoded record* rather than the payload is what lets the requesting
+//! side run the store's own checksum and key verification before
+//! trusting a byte of it.
 
-use runstore::SegmentInfo;
 use serde::{Serialize, Value};
 
 use crate::hex;
@@ -42,14 +35,6 @@ pub enum FleetRequest {
         /// Simulator-config hash scoping the record.
         config_hash: u64,
     },
-    /// Request the peer's segment inventory.
-    Inventory,
-    /// Pull one whole segment file by bare name (as listed in an
-    /// inventory response).
-    PullSegment {
-        /// The segment file name.
-        name: String,
-    },
 }
 
 /// One parsed fleet response (client side).
@@ -57,10 +42,6 @@ pub enum FleetRequest {
 pub enum FleetReply {
     /// The raw encoded record, or `None` for a peer-side miss.
     Record(Option<Vec<u8>>),
-    /// The peer's segment inventory.
-    Inventory(Vec<SegmentInfo>),
-    /// One whole segment file's bytes.
-    Segment(Vec<u8>),
     /// The peer refused (e.g. it has no store attached).
     Err(String),
 }
@@ -104,10 +85,6 @@ pub fn request_line(id: u64, request: &FleetRequest) -> String {
                 ("config_hash".to_string(), Value::UInt(*config_hash)),
             ]),
         ),
-        FleetRequest::Inventory => envelope_line(id, "inventory", Value::Bool(true)),
-        FleetRequest::PullSegment { name } => {
-            envelope_line(id, "segment", Value::Str(name.clone()))
-        }
     }
 }
 
@@ -118,26 +95,6 @@ pub fn record_line(id: u64, record: Option<&[u8]>) -> String {
         None => Value::Null,
     };
     envelope_line(id, "record", payload)
-}
-
-/// The response line answering an inventory request (server side).
-pub fn inventory_line(id: u64, segments: &[SegmentInfo]) -> String {
-    let items = segments
-        .iter()
-        .map(|seg| {
-            Value::Object(vec![
-                ("name".to_string(), Value::Str(seg.name.clone())),
-                ("bytes".to_string(), Value::UInt(seg.bytes)),
-                ("records".to_string(), Value::UInt(seg.records)),
-            ])
-        })
-        .collect();
-    envelope_line(id, "inventory", Value::Array(items))
-}
-
-/// The response line answering a segment pull (server side).
-pub fn segment_line(id: u64, bytes: &[u8]) -> String {
-    envelope_line(id, "segment", Value::Str(hex::encode(bytes)))
 }
 
 /// The response line for a refused fleet request (server side).
@@ -154,14 +111,6 @@ pub fn err_line(id: u64, message: &str) -> String {
 pub fn parse_request_field(key: &str, val: &Value) -> Option<Result<FleetRequest, String>> {
     match key {
         "recall" => Some(parse_recall(val)),
-        "inventory" => Some(match val {
-            Value::Bool(true) => Ok(FleetRequest::Inventory),
-            _ => Err("field \"inventory\" must be the literal true".to_string()),
-        }),
-        "segment" => Some(match val {
-            Value::Str(name) => Ok(FleetRequest::PullSegment { name: name.clone() }),
-            _ => Err("field \"segment\" must be a segment file name".to_string()),
-        }),
         _ => None,
     }
 }
@@ -262,14 +211,6 @@ pub fn parse_reply(line: &str) -> Result<(u64, FleetReply), String> {
                 }
                 _ => return Err("field \"record\" must be hex or null".to_string()),
             },
-            "inventory" => reply = Some(FleetReply::Inventory(parse_inventory(val)?)),
-            "segment" => match val {
-                Value::Str(s) => {
-                    let bytes = hex::decode(s).ok_or("field \"segment\" must be hex bytes")?;
-                    reply = Some(FleetReply::Segment(bytes));
-                }
-                _ => return Err("field \"segment\" must be a hex string".to_string()),
-            },
             "err" => match val {
                 Value::Str(s) => reply = Some(FleetReply::Err(s.clone())),
                 _ => return Err("field \"err\" must be a string".to_string()),
@@ -283,84 +224,29 @@ pub fn parse_reply(line: &str) -> Result<(u64, FleetReply), String> {
     }
 }
 
-fn parse_inventory(v: &Value) -> Result<Vec<SegmentInfo>, String> {
-    let items = match v {
-        Value::Array(items) => items,
-        _ => return Err("field \"inventory\" must be an array".to_string()),
-    };
-    items
-        .iter()
-        .map(|item| {
-            let fields = match item {
-                Value::Object(fields) => fields,
-                _ => return Err("inventory entries must be objects".to_string()),
-            };
-            let mut name = None;
-            let mut bytes = None;
-            let mut records = None;
-            for (key, val) in fields {
-                match (key.as_str(), val) {
-                    ("name", Value::Str(s)) => name = Some(s.clone()),
-                    ("bytes", Value::UInt(u)) => bytes = Some(*u),
-                    ("records", Value::UInt(u)) => records = Some(*u),
-                    _ => return Err(format!("bad inventory field {key:?}")),
-                }
-            }
-            match (name, bytes, records) {
-                (Some(name), Some(bytes), Some(records)) => Ok(SegmentInfo {
-                    name,
-                    bytes,
-                    records,
-                }),
-                _ => Err("inventory entries need name, bytes, records".to_string()),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn request_lines_round_trip() {
-        let requests = [
-            FleetRequest::Recall {
-                key: b"\x00\x01\xfe\xff".to_vec(),
-                config_hash: u64::MAX,
-            },
-            FleetRequest::Inventory,
-            FleetRequest::PullSegment {
-                name: "seg-0000000000000001-0000abcd.runs".to_string(),
-            },
-        ];
-        for (i, request) in requests.iter().enumerate() {
-            let line = request_line(i as u64, request);
-            assert!(line.ends_with('\n'));
-            let (id, parsed) = parse_request_line(line.trim()).expect("parses");
-            assert_eq!(id, i as u64);
-            assert_eq!(&parsed, request);
-        }
+        let request = FleetRequest::Recall {
+            key: b"\x00\x01\xfe\xff".to_vec(),
+            config_hash: u64::MAX,
+        };
+        let line = request_line(7, &request);
+        assert!(line.ends_with('\n'));
+        assert_eq!(parse_request_line(line.trim()), Ok((7, request)));
     }
 
     #[test]
     fn reply_lines_round_trip() {
-        let inv = vec![SegmentInfo {
-            name: "seg-00000000000000aa-00000001.runs".to_string(),
-            bytes: 4096,
-            records: 3,
-        }];
         for (line, want) in [
             (
                 record_line(1, Some(b"\x01\x02")),
                 FleetReply::Record(Some(vec![1, 2])),
             ),
             (record_line(2, None), FleetReply::Record(None)),
-            (inventory_line(3, &inv), FleetReply::Inventory(inv.clone())),
-            (
-                segment_line(4, b"RUNSEG01"),
-                FleetReply::Segment(b"RUNSEG01".to_vec()),
-            ),
             (
                 err_line(5, "no store"),
                 FleetReply::Err("no store".to_string()),
@@ -383,11 +269,9 @@ mod tests {
                 "hex",
             ),
             (r#"{"id": 1, "recall": {"key": "00"}}"#, "config_hash"),
-            (r#"{"id": 1, "inventory": false}"#, "literal true"),
-            (r#"{"id": 1, "segment": 7}"#, "segment"),
             (r#"{"id": 1, "frobnicate": true}"#, "unknown field"),
             (
-                r#"{"id": 1, "inventory": true, "segment": "x"}"#,
+                r#"{"id": 1, "recall": {"key": "00", "config_hash": 1}, "recall": {"key": "01", "config_hash": 1}}"#,
                 "exactly one",
             ),
         ] {
@@ -396,8 +280,7 @@ mod tests {
         }
         for (line, needle) in [
             (r#"{"id": 1, "record": 7}"#, "record"),
-            (r#"{"id": 1, "inventory": 7}"#, "array"),
-            (r#"{"id": 1, "segment": "0"}"#, "hex"),
+            (r#"{"id": 1, "record": "0"}"#, "hex"),
             (r#"{"id": 1}"#, "payload field"),
         ] {
             let err = parse_reply(line).expect_err(line);

@@ -28,6 +28,12 @@ enum Behavior {
     WrongRecord,
     /// Claim a miss.
     Miss,
+    /// Serve the honest record padded to 64 KiB, so its hex `record`
+    /// line is twice the one-record reply cap.
+    Oversized,
+    /// Answer with a nesting bomb: 60,000 `[` on one line, under the
+    /// reply cap but deep enough to overflow a recursive parser.
+    Nested,
 }
 
 /// A single-threaded mock fleet peer speaking the wire protocol over
@@ -65,35 +71,39 @@ fn serve_conn(stream: &TcpStream, behavior: Behavior, key: &[u8], payload: &[u8]
                 continue;
             }
         };
-        let reply = match request {
-            FleetRequest::Recall {
-                key: asked,
-                config_hash,
-            } => {
-                let record_id = RecordId::of(&asked, config_hash);
-                let bytes = match behavior {
-                    Behavior::Honest => Some(encode_record(record_id, key, payload)),
-                    Behavior::FlipPayloadByte => {
-                        let mut bytes = encode_record(record_id, key, payload);
-                        let last = bytes.len() - 1;
-                        bytes[last] ^= 0x01;
-                        Some(bytes)
-                    }
-                    Behavior::WrongRecord => {
-                        // A checksum-intact record that answers a
-                        // different question: substitution, not damage.
-                        let other = b"other-key".to_vec();
-                        Some(encode_record(
-                            RecordId::of(&other, config_hash),
-                            &other,
-                            b"someone else's timings",
-                        ))
-                    }
-                    Behavior::Miss => None,
-                };
-                wire::record_line(id, bytes.as_deref())
+        let FleetRequest::Recall {
+            key: asked,
+            config_hash,
+        } = request;
+        let record_id = RecordId::of(&asked, config_hash);
+        let record = match behavior {
+            Behavior::Honest => Some(encode_record(record_id, key, payload)),
+            Behavior::FlipPayloadByte => {
+                let mut bytes = encode_record(record_id, key, payload);
+                let last = bytes.len() - 1;
+                bytes[last] ^= 0x01;
+                Some(bytes)
             }
-            _ => wire::err_line(id, "mock peer only serves recalls"),
+            Behavior::WrongRecord => {
+                // A checksum-intact record that answers a different
+                // question: substitution, not damage.
+                let other = b"other-key".to_vec();
+                Some(encode_record(
+                    RecordId::of(&other, config_hash),
+                    &other,
+                    b"someone else's timings",
+                ))
+            }
+            Behavior::Oversized => {
+                let mut bytes = encode_record(record_id, key, payload);
+                bytes.resize(64 * 1024, 0);
+                Some(bytes)
+            }
+            Behavior::Miss | Behavior::Nested => None,
+        };
+        let reply = match behavior {
+            Behavior::Nested => format!("{}\n", "[".repeat(60_000)),
+            _ => wire::record_line(id, record.as_deref()),
         };
         if writer.write_all(reply.as_bytes()).is_err() {
             return;
@@ -191,4 +201,33 @@ fn unreachable_peer_counts_an_error_and_falls_through() {
     assert_eq!(tier.recall(id, &key), Some(payload));
     let c = tier.counters();
     assert_eq!((c.hits, c.peer_errors), (1, 1));
+}
+
+#[test]
+fn oversized_reply_is_a_peer_error_and_falls_through() {
+    let (key, payload, id) = canonical();
+    let tier = FleetTier::new([
+        mock_peer(Behavior::Oversized, key.clone(), payload.clone()),
+        mock_peer(Behavior::Honest, key.clone(), payload.clone()),
+    ]);
+    // The reply line exceeds the one-record cap: the client stops
+    // reading at the cap and drops the connection, so the padded record
+    // is never parsed, let alone verified.
+    assert_eq!(tier.recall(id, &key), Some(payload));
+    let c = tier.counters();
+    assert_eq!((c.hits, c.rejected, c.peer_errors), (1, 0, 1));
+}
+
+#[test]
+fn nesting_bomb_reply_is_a_peer_error_and_falls_through() {
+    let (key, payload, id) = canonical();
+    let tier = FleetTier::new([
+        mock_peer(Behavior::Nested, key.clone(), payload.clone()),
+        mock_peer(Behavior::Honest, key.clone(), payload.clone()),
+    ]);
+    // The parser's depth limit turns the bomb into a framing error
+    // instead of a stack overflow that would abort the whole process.
+    assert_eq!(tier.recall(id, &key), Some(payload));
+    let c = tier.counters();
+    assert_eq!((c.hits, c.rejected, c.peer_errors), (1, 0, 1));
 }

@@ -1,9 +1,8 @@
 //! Property tests for the fleet wire codecs: every request and reply
 //! the renderers can produce parses back to the same value, whatever
-//! bytes, names, and counts ride inside.
+//! bytes ride inside.
 
 use proptest::prelude::*;
-use runstore::SegmentInfo;
 
 use fleet::wire;
 use fleet::{FleetReply, FleetRequest};
@@ -40,66 +39,22 @@ proptest! {
         prop_assert_eq!(wire::parse_request_line(line.trim()), Ok((id, request)));
     }
 
-    /// Inventory and pull-segment requests round-trip; segment names are
-    /// exactly the shape `RunStore::inventory` reports.
+    /// Record replies round-trip for arbitrary byte blobs, including the
+    /// empty blob and the explicit miss.
     #[test]
-    fn inventory_and_pull_requests_round_trip(seed in 0u64..u64::MAX) {
-        let mut x = seed;
-        let id = mix(&mut x);
-        let line = wire::request_line(id, &FleetRequest::Inventory);
-        prop_assert_eq!(
-            wire::parse_request_line(line.trim()),
-            Ok((id, FleetRequest::Inventory))
-        );
-        let name = format!("seg-{:016x}-{:08x}.runs", mix(&mut x), mix(&mut x) as u32);
-        prop_assert!(runstore::valid_segment_name(&name));
-        let request = FleetRequest::PullSegment { name };
-        let line = wire::request_line(id, &request);
-        prop_assert_eq!(wire::parse_request_line(line.trim()), Ok((id, request)));
-    }
-
-    /// Record and segment replies round-trip for arbitrary byte blobs,
-    /// including the empty blob and the explicit miss.
-    #[test]
-    fn record_and_segment_replies_round_trip(seed in 0u64..u64::MAX) {
+    fn record_replies_round_trip(seed in 0u64..u64::MAX) {
         let mut x = seed;
         let id = mix(&mut x);
         let bytes = blob(&mut x, 2048);
         let line = wire::record_line(id, Some(&bytes));
         prop_assert_eq!(
             wire::parse_reply(line.trim()),
-            Ok((id, FleetReply::Record(Some(bytes.clone()))))
+            Ok((id, FleetReply::Record(Some(bytes))))
         );
         let line = wire::record_line(id, None);
         prop_assert_eq!(
             wire::parse_reply(line.trim()),
             Ok((id, FleetReply::Record(None)))
-        );
-        let line = wire::segment_line(id, &bytes);
-        prop_assert_eq!(
-            wire::parse_reply(line.trim()),
-            Ok((id, FleetReply::Segment(bytes)))
-        );
-    }
-
-    /// Segment-inventory replies round-trip for arbitrary entry counts,
-    /// sizes, and live-record counts.
-    #[test]
-    fn inventory_replies_round_trip(seed in 0u64..u64::MAX) {
-        let mut x = seed;
-        let id = mix(&mut x);
-        let count = (mix(&mut x) as usize) % 8;
-        let segments: Vec<SegmentInfo> = (0..count)
-            .map(|_| SegmentInfo {
-                name: format!("seg-{:016x}-{:08x}.runs", mix(&mut x), mix(&mut x) as u32),
-                bytes: mix(&mut x),
-                records: mix(&mut x),
-            })
-            .collect();
-        let line = wire::inventory_line(id, &segments);
-        prop_assert_eq!(
-            wire::parse_reply(line.trim()),
-            Ok((id, FleetReply::Inventory(segments)))
         );
     }
 }

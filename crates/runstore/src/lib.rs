@@ -35,21 +35,14 @@
 //!   durable. [`RunStore::flush`] blocks until the queue is empty (call
 //!   it before handing the directory to another process); dropping the
 //!   store drains too.
-//! * **Compaction and eviction.** Segments are append-only, so
-//!   invalidated, codec-retired, and duplicate records accumulate as
-//!   dead bytes until [`RunStore::compact`] rewrites the live set into
-//!   one fresh segment and retires the old files. A [`StoreBudget`]
-//!   (size and/or age cap) is enforced at flush and compaction time by
-//!   deleting whole oldest-first segments; eviction is a cache policy
-//!   and may drop live records, whereas compaction never does.
-//! * **Fleet transfer.** [`RunStore::inventory`],
-//!   [`RunStore::export_segment`], [`RunStore::export_record`], and
-//!   [`RunStore::import_segment`] let a peer ship whole segments or
-//!   single records as opaque byte blobs. Imports are verified
-//!   record-by-record with the same checksums and land in a fresh
-//!   per-process segment file, which the scan-on-open union already
-//!   handles — the store never trusts a shipped byte it has not
-//!   checksummed.
+//! * **No reclamation.** Invalidated and duplicate records stay on disk
+//!   as dead bytes; nothing rewrites or deletes a segment, so a store
+//!   directory only grows. Deleting it is always safe — every record
+//!   can be recomputed.
+//! * **Fleet recall.** [`RunStore::export_record`] hands a peer the raw
+//!   encoded bytes of one record, unverified. The *requesting* side
+//!   parses and compares them ([`parse_record`]) exactly as a local
+//!   recall does before trusting a byte.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,7 +54,6 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
-use std::time::Duration;
 
 // Under `model-check` the sync primitives and the flusher thread come
 // from the interleave checker; they delegate to std outside a checker
@@ -161,68 +153,6 @@ pub struct StoreCounters {
     pub segments: u64,
 }
 
-/// Size/age eviction policy, enforced at flush and compaction time.
-/// `None` on both axes (the [`Default`]) means unbounded. Eviction
-/// deletes whole oldest-first segments — live records in an evicted
-/// segment are simply recomputed on the next miss, so the policy trades
-/// disk for compute without ever risking a wrong answer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreBudget {
-    /// Cap on total segment bytes on disk; oldest segments are deleted
-    /// until the store fits.
-    pub max_bytes: Option<u64>,
-    /// Cap on segment age (from the creation stamp in the file name);
-    /// compaction rewrites live records into a fresh segment, which
-    /// resets their age.
-    pub max_age: Option<Duration>,
-}
-
-impl StoreBudget {
-    /// Whether either axis is bounded.
-    pub fn is_bounded(&self) -> bool {
-        self.max_bytes.is_some() || self.max_age.is_some()
-    }
-}
-
-/// One segment file's identity and weight, for compaction accounting
-/// and the fleet inventory exchange.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentInfo {
-    /// The segment's file name (never a path — names are validated
-    /// before any disk access, so a peer cannot traverse directories).
-    pub name: String,
-    /// File size, bytes.
-    pub bytes: u64,
-    /// Records in the live index that point into this segment.
-    pub records: u64,
-}
-
-/// What one [`RunStore::compact`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompactReport {
-    /// Live records rewritten into the fresh segment.
-    pub live_records: u64,
-    /// Total segment bytes on disk before the pass.
-    pub bytes_before: u64,
-    /// Total segment bytes on disk after the pass (and after budget
-    /// enforcement).
-    pub bytes_after: u64,
-    /// Old segment files retired (deleted) by the pass.
-    pub segments_retired: u64,
-}
-
-/// What one [`RunStore::import_segment`] call did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ImportReport {
-    /// Records that verified and were installed (durable and indexed).
-    pub installed: u64,
-    /// Records that verified but were already present locally.
-    pub skipped: u64,
-    /// Torn or corrupt records rejected (the scan stops at the first,
-    /// exactly like the open-time segment scan).
-    pub rejected: u64,
-}
-
 /// Where one record lives on disk.
 #[derive(Debug, Clone)]
 struct Loc {
@@ -245,15 +175,10 @@ struct State {
     /// empty but the record is not yet durable).
     writing: bool,
     closed: bool,
-    /// Bumped whenever on-disk segments are retired (compaction or
-    /// eviction); the flusher abandons its open segment on an epoch
-    /// change so it never appends to a file scheduled for deletion.
-    epoch: u64,
 }
 
 struct Shared {
     dir: PathBuf,
-    budget: StoreBudget,
     state: Mutex<State>,
     cv: Condvar,
     hits: AtomicU64,
@@ -296,16 +221,6 @@ impl RunStore {
     /// Individual damaged segments are not errors — their readable prefix
     /// is indexed and the torn tail is counted and skipped.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<RunStore> {
-        RunStore::open_with_budget(dir, StoreBudget::default())
-    }
-
-    /// [`RunStore::open`] with a size/age eviction policy, enforced at
-    /// flush and compaction time.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RunStore::open`].
-    pub fn open_with_budget(dir: impl Into<PathBuf>, budget: StoreBudget) -> io::Result<RunStore> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let mut index = HashMap::new();
@@ -319,13 +234,11 @@ impl RunStore {
         }
         let shared = Arc::new(Shared {
             dir,
-            budget,
             state: Mutex::new(State {
                 index,
                 pending: VecDeque::new(),
                 writing: false,
                 closed: false,
-                epoch: 0,
             }),
             cv: Condvar::new(),
             hits: AtomicU64::new(0),
@@ -436,9 +349,7 @@ impl RunStore {
 
     /// Blocks until every queued append is durable and indexed. Call
     /// before handing the directory to another process (or relying on a
-    /// restart to see the records). Enforces the [`StoreBudget`], if one
-    /// is set (eviction failures are swallowed — the store is a cache
-    /// and flush has nothing useful to do with an I/O error).
+    /// restart to see the records).
     pub fn flush(&self) {
         let mut state = lock(&self.shared.state);
         while !state.pending.is_empty() || state.writing {
@@ -448,95 +359,6 @@ impl RunStore {
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        drop(state);
-        if self.shared.budget.is_bounded() {
-            let _ = self.enforce_budget();
-        }
-    }
-
-    /// The eviction policy this store was opened with.
-    pub fn budget(&self) -> StoreBudget {
-        self.shared.budget
-    }
-
-    /// Every id currently addressable through the index, in no
-    /// particular order.
-    pub fn record_ids(&self) -> Vec<RecordId> {
-        lock(&self.shared.state).index.keys().copied().collect()
-    }
-
-    /// Drops every index entry whose `config_hash` matches — the bulk
-    /// retirement path for a codec or simulator-config change. The
-    /// records' bytes stay on disk (dead) until the next
-    /// [`RunStore::compact`] reclaims them. Returns how many entries
-    /// were retired; they are not counted as verify failures (nothing
-    /// was damaged).
-    pub fn retire_config(&self, config_hash: u64) -> u64 {
-        let mut state = lock(&self.shared.state);
-        let before = state.index.len();
-        state.index.retain(|id, _| id.config_hash != config_hash);
-        (before - state.index.len()) as u64
-    }
-
-    /// Total bytes of segment files on disk.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`io::Error`] if the store directory cannot be listed.
-    pub fn disk_bytes(&self) -> io::Result<u64> {
-        Ok(list_segments(&self.shared.dir)?
-            .iter()
-            .map(|p| fs::metadata(p).map(|m| m.len()).unwrap_or(0))
-            .sum())
-    }
-
-    /// The store's segment inventory: every segment file on disk, in
-    /// creation order, with its size and live-record count. This is the
-    /// unit of the fleet's anti-entropy exchange — a peer compares
-    /// inventories and pulls whole segments it is missing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`io::Error`] if the store directory cannot be listed.
-    pub fn inventory(&self) -> io::Result<Vec<SegmentInfo>> {
-        let paths = list_segments(&self.shared.dir)?;
-        let sizes: Vec<u64> = paths
-            .iter()
-            .map(|p| fs::metadata(p).map(|m| m.len()).unwrap_or(0))
-            .collect();
-        let state = lock(&self.shared.state);
-        let mut live: HashMap<&Path, u64> = HashMap::new();
-        for loc in state.index.values() {
-            *live.entry(loc.path.as_path()).or_insert(0) += 1;
-        }
-        Ok(paths
-            .iter()
-            .zip(sizes)
-            .map(|(path, bytes)| SegmentInfo {
-                name: segment_file_name(path),
-                bytes,
-                records: live.get(path.as_path()).copied().unwrap_or(0),
-            })
-            .collect())
-    }
-
-    /// Reads one whole segment file as raw bytes for shipping to a
-    /// peer. The name must be a bare segment file name (as reported by
-    /// [`RunStore::inventory`]); anything else — separators, traversal,
-    /// a non-segment name — is refused before any disk access.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`io::Error`] for an invalid name or an unreadable file
-    /// (e.g. the segment was compacted away between inventory and pull).
-    pub fn export_segment(&self, name: &str) -> io::Result<Vec<u8>> {
-        if !valid_segment_name(name) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "not a segment file name",
-            ));
-        }
-        fs::read(self.shared.dir.join(name))
     }
 
     /// Reads the raw encoded bytes (header, key, payload) of the record
@@ -548,305 +370,6 @@ impl RunStore {
     pub fn export_record(&self, id: RecordId) -> Option<Vec<u8>> {
         let loc = lock(&self.shared.state).index.get(&id)?.clone();
         read_record_bytes(&loc).ok()
-    }
-
-    /// Installs records shipped from a peer's segment (the bytes of one
-    /// whole segment file, as produced by [`RunStore::export_segment`]).
-    /// Every record is parsed and checksum-verified; verified records
-    /// not already present land in a fresh per-process segment file
-    /// (durable and indexed before this returns), so a shipped segment
-    /// is never trusted byte-for-byte and never appended to an existing
-    /// file. A torn or corrupt record ends the scan — the intact prefix
-    /// is still installed, mirroring the open-time scan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`io::Error`] only for local write failures; damage in
-    /// the *shipped* bytes is reported via [`ImportReport::rejected`].
-    pub fn import_segment(&self, bytes: &[u8]) -> io::Result<ImportReport> {
-        let mut report = ImportReport::default();
-        let mut verified: Vec<ParsedRecord> = Vec::new();
-        if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-            report.rejected = 1;
-            return Ok(report);
-        }
-        let mut offset = SEGMENT_MAGIC.len();
-        while offset < bytes.len() {
-            match parse_record(bytes, offset) {
-                Ok(record) => {
-                    offset += record.len;
-                    verified.push(record);
-                }
-                Err(_) => {
-                    report.rejected = 1;
-                    break;
-                }
-            }
-        }
-        let missing: Vec<&ParsedRecord> = {
-            let state = lock(&self.shared.state);
-            verified
-                .iter()
-                .filter(|r| !state.index.contains_key(&r.id))
-                .collect()
-        };
-        report.skipped = (verified.len() - missing.len()) as u64;
-        if missing.is_empty() {
-            return Ok(report);
-        }
-        // Write the foreign records into a fresh segment of our own,
-        // re-encoded (byte-identical — the checksum pins the content).
-        let mut seg = create_segment(&self.shared)?;
-        self.shared.segments.fetch_add(1, Ordering::Relaxed);
-        let mut locs: Vec<(RecordId, Loc)> = Vec::with_capacity(missing.len());
-        for record in &missing {
-            let encoded = encode_record(record.id, &record.key, &record.payload);
-            let offset = seg.len;
-            seg.file.write_all(&encoded)?;
-            seg.len += encoded.len() as u64;
-            locs.push((
-                record.id,
-                Loc {
-                    path: Arc::clone(&seg.path),
-                    offset,
-                    len: encoded.len() as u32,
-                },
-            ));
-        }
-        seg.file.flush()?;
-        let mut state = lock(&self.shared.state);
-        for (id, loc) in locs {
-            // First-writer-wins if a concurrent append published the
-            // same id meanwhile; both copies hold identical payloads.
-            if let std::collections::hash_map::Entry::Vacant(slot) = state.index.entry(id) {
-                slot.insert(loc);
-                report.installed += 1;
-            } else {
-                report.skipped += 1;
-            }
-        }
-        Ok(report)
-    }
-
-    /// Rewrites every live record into one fresh segment, then retires
-    /// (deletes) all prior segment files — reclaiming the dead bytes of
-    /// invalidated, codec-retired, and duplicate records. Each record is
-    /// checksum-verified during the rewrite; a record that fails was
-    /// damaged on disk and is dropped exactly as a recall would have
-    /// dropped it. Concurrent appends are safe: the flusher rotates to a
-    /// new segment (never a retired one) on the epoch bump, and entries
-    /// that changed mid-pass keep their newer location. Other *processes*
-    /// sharing the directory may see their scanned segments deleted;
-    /// their recalls then fail verification and fall back to compute — a
-    /// miss, never a wrong answer. Ends by enforcing the [`StoreBudget`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`io::Error`] if the directory cannot be listed or the
-    /// fresh segment cannot be written; the old segments are only
-    /// deleted after the rewrite is durable, so a failed pass leaves
-    /// every live record readable.
-    pub fn compact(&self) -> io::Result<CompactReport> {
-        self.flush();
-        // Quiesce, snapshot, and bump the epoch under one lock hold: the
-        // queue is empty and nothing is mid-write, so after the bump no
-        // file listed here can receive another record from our flusher.
-        let (snapshot, retire) = {
-            let mut state = lock(&self.shared.state);
-            while !state.pending.is_empty() || state.writing {
-                state = self
-                    .shared
-                    .cv
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            state.epoch += 1;
-            let retire = list_segments(&self.shared.dir)?;
-            let mut snapshot: Vec<(RecordId, Loc)> = state
-                .index
-                .iter()
-                .map(|(id, loc)| (*id, loc.clone()))
-                .collect();
-            // Deterministic rewrite order (the index iterates in hash
-            // order, which varies run to run).
-            snapshot.sort_by_key(|(id, _)| (id.key_hash, id.config_hash));
-            (snapshot, retire)
-        };
-        let bytes_before: u64 = retire
-            .iter()
-            .map(|p| fs::metadata(p).map(|m| m.len()).unwrap_or(0))
-            .sum();
-        let live_bytes: u64 = snapshot.iter().map(|(_, loc)| u64::from(loc.len)).sum();
-        // Already compact: at most one segment and every byte of it live.
-        if retire.len() <= 1
-            && live_bytes + (SEGMENT_MAGIC.len() * retire.len()) as u64 == bytes_before
-        {
-            self.enforce_budget()?;
-            return Ok(CompactReport {
-                live_records: snapshot.len() as u64,
-                bytes_before,
-                bytes_after: self.disk_bytes()?,
-                segments_retired: 0,
-            });
-        }
-        // Rewrite the verified live set into one fresh segment.
-        let mut seg: Option<OpenSegment> = None;
-        let mut moved: Vec<(RecordId, Loc)> = Vec::with_capacity(snapshot.len());
-        for (id, loc) in &snapshot {
-            let Ok(raw) = read_record_bytes(loc) else {
-                continue;
-            };
-            let Ok(record) = parse_record(&raw, 0) else {
-                continue;
-            };
-            if record.id != *id {
-                continue;
-            }
-            if seg.is_none() {
-                seg = Some(create_segment(&self.shared)?);
-                self.shared.segments.fetch_add(1, Ordering::Relaxed);
-            }
-            let Some(open) = seg.as_mut() else {
-                continue;
-            };
-            let offset = open.len;
-            open.file.write_all(&raw)?;
-            open.len += raw.len() as u64;
-            moved.push((
-                *id,
-                Loc {
-                    path: Arc::clone(&open.path),
-                    offset,
-                    len: raw.len() as u32,
-                },
-            ));
-        }
-        if let Some(open) = seg.as_mut() {
-            open.file.flush()?;
-        }
-        let live_records = moved.len() as u64;
-        // Publish the new locations, then drop anything still pointing
-        // into a retired file (records that failed verification above).
-        let retired: std::collections::HashSet<&Path> =
-            retire.iter().map(PathBuf::as_path).collect();
-        {
-            let mut state = lock(&self.shared.state);
-            for (id, newloc) in moved {
-                if state
-                    .index
-                    .get(&id)
-                    .is_some_and(|cur| retired.contains(cur.path.as_path()))
-                {
-                    state.index.insert(id, newloc);
-                }
-            }
-            let before = state.index.len();
-            state
-                .index
-                .retain(|_, loc| !retired.contains(loc.path.as_path()));
-            let dropped = (before - state.index.len()) as u64;
-            if dropped > 0 {
-                self.shared
-                    .verify_failures
-                    .fetch_add(dropped, Ordering::Relaxed);
-            }
-        }
-        for path in &retire {
-            let _ = fs::remove_file(path);
-        }
-        self.shared.segments.store(
-            list_segments(&self.shared.dir)?.len() as u64,
-            Ordering::Relaxed,
-        );
-        self.enforce_budget()?;
-        Ok(CompactReport {
-            live_records,
-            bytes_before,
-            bytes_after: self.disk_bytes()?,
-            segments_retired: retire.len() as u64,
-        })
-    }
-
-    /// Enforces the [`StoreBudget`] by deleting whole segments, oldest
-    /// first (by the creation stamp in the file name): first everything
-    /// older than `max_age`, then oldest-first until the store fits in
-    /// `max_bytes`. Index entries into deleted segments are dropped —
-    /// their records are recomputed on the next miss. Returns how many
-    /// segments were evicted. No-op for an unbounded budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`io::Error`] if the store directory cannot be listed.
-    pub fn enforce_budget(&self) -> io::Result<u64> {
-        let budget = self.shared.budget;
-        if !budget.is_bounded() {
-            return Ok(0);
-        }
-        let paths = list_segments(&self.shared.dir)?;
-        let metas: Vec<(PathBuf, u64, u64)> = paths
-            .into_iter()
-            .map(|p| {
-                let bytes = fs::metadata(&p).map(|m| m.len()).unwrap_or(0);
-                let stamp = segment_name_stamp(&p);
-                (p, bytes, stamp)
-            })
-            .collect();
-        let mut drop_flags = vec![false; metas.len()];
-        if let Some(max_age) = budget.max_age {
-            let cutoff =
-                segment_stamp(0).saturating_sub(u64::try_from(max_age.as_micros()).unwrap_or(0));
-            for (flag, (_, _, stamp)) in drop_flags.iter_mut().zip(&metas) {
-                if *stamp < cutoff {
-                    *flag = true;
-                }
-            }
-        }
-        if let Some(max_bytes) = budget.max_bytes {
-            let mut total: u64 = metas
-                .iter()
-                .zip(&drop_flags)
-                .filter(|(_, dropped)| !**dropped)
-                .map(|((_, bytes, _), _)| *bytes)
-                .sum();
-            // `list_segments` sorts lexicographically = stamp order, so
-            // this walks oldest to newest.
-            for (flag, (_, bytes, _)) in drop_flags.iter_mut().zip(&metas) {
-                if total <= max_bytes {
-                    break;
-                }
-                if !*flag {
-                    *flag = true;
-                    total -= *bytes;
-                }
-            }
-        }
-        let evict: Vec<&PathBuf> = metas
-            .iter()
-            .zip(&drop_flags)
-            .filter(|(_, dropped)| **dropped)
-            .map(|((path, _, _), _)| path)
-            .collect();
-        if evict.is_empty() {
-            return Ok(0);
-        }
-        let evicted: std::collections::HashSet<&Path> = evict.iter().map(|p| p.as_path()).collect();
-        {
-            let mut state = lock(&self.shared.state);
-            // The flusher's open segment may be on the evict list; the
-            // bump makes it rotate instead of appending to a dead file.
-            state.epoch += 1;
-            state
-                .index
-                .retain(|_, loc| !evicted.contains(loc.path.as_path()));
-        }
-        for path in &evict {
-            let _ = fs::remove_file(path);
-        }
-        self.shared.segments.store(
-            list_segments(&self.shared.dir)?.len() as u64,
-            Ordering::Relaxed,
-        );
-        Ok(evict.len() as u64)
     }
 }
 
@@ -869,14 +392,13 @@ impl Drop for RunStore {
 /// never loses accepted records.
 fn flusher_loop(shared: &Shared) {
     let mut segment: Option<OpenSegment> = None;
-    let mut segment_epoch = 0u64;
     loop {
-        let (record, epoch) = {
+        let record = {
             let mut state = lock(&shared.state);
             loop {
                 if let Some(record) = state.pending.pop_front() {
                     state.writing = true;
-                    break (record, state.epoch);
+                    break record;
                 }
                 if state.closed {
                     return;
@@ -887,12 +409,6 @@ fn flusher_loop(shared: &Shared) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        if segment_epoch != epoch {
-            // Compaction or eviction retired on-disk segments — possibly
-            // ours. Rotate rather than append to a deleted file.
-            segment = None;
-            segment_epoch = epoch;
-        }
         let written = write_record(shared, &mut segment, &record);
         let mut state = lock(&shared.state);
         state.writing = false;
@@ -993,8 +509,7 @@ fn segment_stamp(attempt: u32) -> u64 {
 }
 
 /// Every segment file under `dir`, sorted lexicographically — which is
-/// creation-stamp order, the order the open-time scan and the eviction
-/// policy both rely on.
+/// creation-stamp order, the order the open-time scan relies on.
 fn list_segments(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut names: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(Result::ok)
@@ -1007,42 +522,6 @@ fn list_segments(dir: &Path) -> io::Result<Vec<PathBuf>> {
         .collect();
     names.sort();
     Ok(names)
-}
-
-/// Whether `name` is a bare segment file name (`seg-<16 hex>-<8
-/// hex>.runs`) — the gate on peer-supplied names before any disk
-/// access, so a name can never escape the store directory.
-pub fn valid_segment_name(name: &str) -> bool {
-    let Some(hex) = name
-        .strip_prefix("seg-")
-        .and_then(|rest| rest.strip_suffix(".runs"))
-    else {
-        return false;
-    };
-    let mut parts = hex.splitn(2, '-');
-    let stamp = parts.next().unwrap_or("");
-    let pid = parts.next().unwrap_or("");
-    stamp.len() == 16
-        && pid.len() == 8
-        && stamp.chars().all(|c| c.is_ascii_hexdigit())
-        && pid.chars().all(|c| c.is_ascii_hexdigit())
-}
-
-/// The bare file name of a segment path.
-fn segment_file_name(path: &Path) -> String {
-    path.file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_default()
-}
-
-/// The creation stamp (epoch microseconds) encoded in a segment file
-/// name; 0 for anything unparsable (which then reads as "oldest").
-fn segment_name_stamp(path: &Path) -> u64 {
-    let name = segment_file_name(path);
-    name.strip_prefix("seg-")
-        .and_then(|rest| rest.get(..16))
-        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-        .unwrap_or(0)
 }
 
 /// Reads the raw bytes of one located record.

@@ -48,14 +48,12 @@
 //! with zero simulator executions.
 //!
 //! With [`ServerConfig::peers`] set as well, the node joins a store-aware
-//! *fleet*: the same wire protocol grows `recall`/`inventory`/`segment`
-//! request kinds (codec in [`fleet::wire`], served inline from the run
-//! store), and a recall missing both memory and disk asks each peer in
-//! order before computing — memory → disk → fleet → compute. Remote
-//! records pass the identical FNV-1a read-back verification as local
-//! ones, so a poisoned peer can only cause a recompute, never a wrong
-//! answer; [`fleet::FleetTier::sync_segments`] additionally pulls whole
-//! peer segments for anti-entropy warm-up.
+//! *fleet*: the same wire protocol grows a `recall` request kind (codec
+//! in [`fleet::wire`], served inline from the run store), and a recall
+//! missing both memory and disk asks each peer in order before
+//! computing — memory → disk → fleet → compute. Remote records pass the
+//! identical FNV-1a read-back verification as local ones, so a poisoned
+//! peer can only cause a recompute, never a wrong answer.
 //!
 //! With the `audit` feature (default on) every run the server executes is
 //! conservation-checked by the engine's audit layer before it is priced,

@@ -7,22 +7,20 @@
 //! request  = { "id": uint, "study": study-request }
 //!          | { "id": uint, "stats": true }
 //!          | { "id": uint, "recall": { "key": hex, "config_hash": uint } }
-//!          | { "id": uint, "inventory": true }
-//!          | { "id": uint, "segment": string }
 //! response = { "id": uint, "ok":    study-response }
 //!          | { "id": uint, "stats": stats-report }
 //!          | { "id": uint, "err":   string }
 //!          | { "id": uint, "busy":  { "retry_after_ms": uint,
 //!                                     "queue_depth": uint } }
-//!          | fleet-reply                     (see `fleet::wire`)
+//!          | { "id": uint, "record": hex | null }
 //! ```
 //!
-//! The `recall`/`inventory`/`segment` kinds are the fleet store-sharing
-//! protocol: their payload shapes, reply lines, and parsers live in
-//! [`fleet::wire`] (shared with the fleet's peer client); this module
-//! only recognizes the field names and delegates. They are answered
-//! inline by the connection thread — serving bytes out of the run store
-//! never waits behind queued simulator work.
+//! The `recall` kind is the fleet's one request: its payload shape,
+//! `record` reply line, and parsers live in [`fleet::wire`] (shared with
+//! the fleet's peer client); this module only recognizes the field name
+//! and delegates. It is answered inline by the connection thread —
+//! serving bytes out of the run store never waits behind queued
+//! simulator work.
 //!
 //! `study-request` is exactly the value shape
 //! `#[derive(Serialize)]` emits for [`StudyRequest`] (externally tagged:
@@ -68,8 +66,7 @@ pub enum WireRequest {
     /// Report server observability counters; answered inline by the
     /// connection thread, never queued.
     Stats,
-    /// A fleet store-sharing request (record recall, segment inventory,
-    /// or whole-segment pull); answered inline from the run store.
+    /// A fleet record recall; answered inline from the run store.
     Fleet(fleet::FleetRequest),
 }
 
@@ -334,26 +331,20 @@ mod tests {
     fn fleet_request_fields_parse_through_the_shared_codec() {
         // The very line the fleet peer client renders must parse into a
         // Fleet envelope here — one codec, two ends.
-        let line = fleet::wire::request_line(11, &fleet::FleetRequest::Inventory);
-        let env = parse_line(line.trim()).expect("parses");
-        assert_eq!(env.id, 11);
-        assert_eq!(
-            env.request,
-            WireRequest::Fleet(fleet::FleetRequest::Inventory)
-        );
-
         let recall = fleet::FleetRequest::Recall {
             key: b"key-bytes".to_vec(),
             config_hash: 7,
         };
-        let env = parse_line(fleet::wire::request_line(3, &recall).trim()).expect("parses");
+        let env = parse_line(fleet::wire::request_line(11, &recall).trim()).expect("parses");
+        assert_eq!(env.id, 11);
         assert_eq!(env.request, WireRequest::Fleet(recall));
 
+        let recall = r#""recall": {"key": "00", "config_hash": 1}"#;
         for line in [
-            r#"{"id": 1, "stats": true, "inventory": true}"#,
-            r#"{"id": 1, "inventory": true, "segment": "seg-x.runs"}"#,
+            format!(r#"{{"id": 1, "stats": true, {recall}}}"#),
+            format!(r#"{{"id": 1, {recall}, {recall}}}"#),
         ] {
-            let err = parse_line(line).expect_err(line);
+            let err = parse_line(&line).expect_err(&line);
             assert!(
                 err.contains("exactly one") || err.contains("more than one"),
                 "{line}: {err}"
@@ -372,6 +363,12 @@ mod tests {
             (r#"{"id": 1}"#, "exactly one of"),
             (r#"{"id": 1, "stats": false}"#, "literal true"),
             (r#"{"id": 1, "frobnicate": true}"#, "unknown field"),
+            // Segment-shipping kinds an older fleet peer may still send.
+            (r#"{"id": 1, "inventory": true}"#, "unknown field"),
+            (
+                r#"{"id": 1, "segment": "seg-0000000000000001-00000001.runs"}"#,
+                "unknown field",
+            ),
             (
                 r#"{"id": 1, "study": {"Compare": {}}, "stats": true}"#,
                 "missing field",

@@ -175,8 +175,8 @@ pub(crate) struct Shared {
     pub(crate) stats: ServerStats,
     pub(crate) shutdown: AtomicBool,
     /// The run store, when one is attached — the same instance the
-    /// study's disk tier uses, held here so fleet requests can serve
-    /// raw record and segment bytes from it inline.
+    /// study's disk tier uses, held here so fleet recalls can serve raw
+    /// record bytes from it inline.
     pub(crate) store: Option<Arc<simcore::RunStore>>,
     /// The outbound fleet tier, when peers are configured; here for its
     /// counters in [`Shared::report`].
@@ -492,29 +492,18 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-/// Renders the reply to one fleet store-sharing request, serving raw
-/// bytes out of the run store. The server side ships records and
-/// segments *unverified* — the design point is that the requesting peer
-/// runs the full read-back verification, so a damaged record here
-/// degrades to a peer-side miss, never a wrong answer there.
+/// Renders the reply to one fleet recall, serving the raw record bytes
+/// out of the run store. The server side ships records *unverified* —
+/// the design point is that the requesting peer runs the full read-back
+/// verification, so a damaged record here degrades to a peer-side miss,
+/// never a wrong answer there.
 fn serve_fleet(shared: &Shared, id: u64, request: &fleet::FleetRequest) -> String {
     let Some(store) = shared.store.as_deref() else {
         return fleet::wire::err_line(id, "no run store attached");
     };
-    match request {
-        fleet::FleetRequest::Recall { key, config_hash } => {
-            let record_id = simcore::RecordId::of(key, *config_hash);
-            fleet::wire::record_line(id, store.export_record(record_id).as_deref())
-        }
-        fleet::FleetRequest::Inventory => match store.inventory() {
-            Ok(segments) => fleet::wire::inventory_line(id, &segments),
-            Err(e) => fleet::wire::err_line(id, &format!("inventory failed: {e}")),
-        },
-        fleet::FleetRequest::PullSegment { name } => match store.export_segment(name) {
-            Ok(bytes) => fleet::wire::segment_line(id, &bytes),
-            Err(e) => fleet::wire::err_line(id, &format!("segment unavailable: {e}")),
-        },
-    }
+    let fleet::FleetRequest::Recall { key, config_hash } = request;
+    let record_id = simcore::RecordId::of(key, *config_hash);
+    fleet::wire::record_line(id, store.export_record(record_id).as_deref())
 }
 
 /// Handles one complete request line; `false` ends the connection.

@@ -1,16 +1,19 @@
 //! Two-node fleet tests: a cold node peered to a warm node serves
 //! repeated sweeps off the fleet with **zero simulator executions** and
-//! bitwise-equal responses; anti-entropy segment shipping warms an
-//! empty store through the live wire protocol; and a torn shipped
-//! segment falls through to recompute — correct answers, never wrong
-//! ones.
+//! bitwise-equal responses, and the `recall` request kind rides the
+//! server's envelope grammar — a miss before the peer computes, a
+//! verified hit after.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use fleet::{FleetTier, PeerClient};
-use runstore::RunStore;
-use simcore::{FigureMetric, RecordId, StudyConfig, StudyRequest};
+use fleet::PeerClient;
+use leakctl::Technique;
+use simcore::storebytes::{config_hash, encode_key, encode_run};
+use simcore::{FigureMetric, RecordId, RunKey, StudyConfig, StudyRequest};
+use specgen::Benchmark;
 use studyd::{Server, ServerConfig, TcpClient};
 
 fn test_study_config() -> StudyConfig {
@@ -106,100 +109,32 @@ fn warm_peer_serves_cold_node_with_zero_executions() {
     }
 }
 
-#[test]
-fn anti_entropy_sync_warms_an_empty_store_over_the_wire() {
-    let warm_dir = scratch("sync-a");
-    let cold_dir = scratch("sync-b");
-
-    let warm = fleet_server(&warm_dir, Vec::new());
-    let warm_addr = warm.local_addr().to_string();
-    let mut client = TcpClient::connect(&warm_addr).expect("connects warm");
-    let reference = client
-        .request_pipelined(&figure_sweep())
-        .expect("warm sweep serves");
-    warm.study().flush_store();
-
-    // Pull every peer segment into the cold store before it serves.
-    let cold_store = RunStore::open(&cold_dir).expect("open cold store");
-    let tier = FleetTier::new([warm_addr.clone()]);
-    let sync = tier.sync_segments(&cold_store);
-    assert_eq!(sync.peers_reached, 1, "{sync:?}");
-    assert!(sync.segments_pulled > 0, "{sync:?}");
-    assert!(sync.records_installed > 0, "{sync:?}");
-    assert_eq!(sync.records_rejected, 0, "{sync:?}");
-    assert_eq!(sync.io_errors, 0, "{sync:?}");
-    // A second pass is a no-op: anti-entropy is idempotent.
-    let again = tier.sync_segments(&cold_store);
-    assert_eq!(again.records_installed, 0, "{again:?}");
-    drop(cold_store);
-
-    // The synced node serves the sweep from its own disk — no peers,
-    // no executions.
-    let cold = fleet_server(&cold_dir, Vec::new());
-    let mut client = TcpClient::connect(&cold.local_addr().to_string()).expect("connects cold");
-    let served = client
-        .request_pipelined(&figure_sweep())
-        .expect("synced sweep serves");
-    assert_eq!(served, reference, "synced store must reproduce bitwise");
-    let report = cold.shutdown();
-    assert_eq!(report.cache.executions, 0, "{report:?}");
-
-    warm.shutdown();
-    for dir in [&warm_dir, &cold_dir] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
+/// A raw TCP conversation with a server: one request line out, one
+/// reply line back.
+struct RawConn {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
 }
 
-#[test]
-fn torn_shipped_segment_falls_through_to_recompute() {
-    let warm_dir = scratch("torn-a");
-    let cold_dir = scratch("torn-b");
-
-    let warm = fleet_server(&warm_dir, Vec::new());
-    let warm_addr = warm.local_addr().to_string();
-    let mut client = TcpClient::connect(&warm_addr).expect("connects warm");
-    let reference = client
-        .request_pipelined(&figure_sweep())
-        .expect("warm sweep serves");
-    warm.study().flush_store();
-
-    // Ship the warm node's segment through the live protocol, then tear
-    // it mid-record before landing it — a crashed transfer.
-    let peer = PeerClient::new(warm_addr);
-    let inventory = peer.inventory().expect("inventory over the wire");
-    assert!(!inventory.is_empty());
-    let shipped = peer
-        .pull_segment(&inventory[0].name)
-        .expect("segment over the wire");
-    let torn = &shipped[..shipped.len() * 2 / 3];
-    let cold_store = RunStore::open(&cold_dir).expect("open cold store");
-    let report = cold_store.import_segment(torn).expect("torn import");
-    assert_eq!(report.rejected, 1, "the cut record is rejected: {report:?}");
-    let installed = report.installed;
-    drop(cold_store);
-    warm.shutdown();
-
-    // The cold node (no peers) serves the sweep: the intact prefix hits
-    // disk, the torn tail recomputes, and the responses still match the
-    // warm node's bitwise — a torn transfer costs time, never truth.
-    let cold = fleet_server(&cold_dir, Vec::new());
-    let mut client = TcpClient::connect(&cold.local_addr().to_string()).expect("connects cold");
-    let served = client
-        .request_pipelined(&figure_sweep())
-        .expect("torn-store sweep serves");
-    assert_eq!(served, reference, "answers must stay bitwise-correct");
-    let report = cold.shutdown();
-    assert!(
-        report.cache.executions > 0,
-        "the torn tail must recompute: {report:?}"
-    );
-    if installed > 0 {
-        let store = report.store.expect("store tier attached");
-        assert!(store.hits > 0, "the intact prefix must serve: {store:?}");
+impl RawConn {
+    fn open(server: &Server) -> RawConn {
+        let stream = TcpStream::connect(server.local_addr()).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout configures");
+        RawConn {
+            writer: stream.try_clone().expect("clone"),
+            reader: BufReader::new(stream),
+        }
     }
 
-    for dir in [&warm_dir, &cold_dir] {
-        let _ = std::fs::remove_dir_all(dir);
+    fn ask(&mut self, line: &str) -> String {
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("writes");
+        let mut reply = String::new();
+        self.reader.read_line(&mut reply).expect("reads");
+        reply
     }
 }
 
@@ -219,8 +154,11 @@ fn fleet_requests_without_a_store_are_refused_inline() {
         .recall(RecordId::of(b"any-key", 1), b"any-key")
         .expect_err("refused");
     assert!(err.to_string().contains("no run store"), "{err}");
-    let err = peer.inventory().expect_err("refused");
-    assert!(err.to_string().contains("no run store"), "{err}");
+    // The raw wire line gets the same refusal, under its own id.
+    let reply =
+        RawConn::open(&server).ask(r#"{"id": 2, "recall": {"key": "00", "config_hash": 1}}"#);
+    assert!(reply.contains("\"id\":2"), "{reply}");
+    assert!(reply.contains("no run store"), "{reply}");
     server.shutdown();
 }
 
@@ -229,61 +167,59 @@ fn fleet_recall_misses_then_hits_after_the_peer_computes() {
     let dir = scratch("recall-lifecycle");
     let server = fleet_server(&dir, Vec::new());
     let peer = PeerClient::new(server.local_addr().to_string());
+    // A run every figure computes: gzip's no-control baseline.
+    let run_key = RunKey::of(Benchmark::Gzip, &Technique::none(), 5);
+    let key = encode_key(&run_key);
+    let id = RecordId::of(&key, config_hash(&test_study_config()));
 
     // Nothing computed yet: a recall is an honest peer-side miss.
-    let key = b"not-computed-yet".to_vec();
-    let miss = peer
-        .recall(RecordId::of(&key, 1), &key)
-        .expect("recall round-trips");
+    let miss = peer.recall(id, &key).expect("recall round-trips");
     assert_eq!(miss, None);
 
-    // After the peer serves (and flushes) a request, the records are
-    // recallable over the wire and verify locally.
+    // After the peer serves (and flushes) a request, the run is
+    // recallable over the wire and verifies locally to the very payload
+    // the peer computed.
     let mut client = TcpClient::connect(&server.local_addr().to_string()).expect("connects");
     client
         .request_value(&figure_sweep()[0])
         .expect("peer computes");
     server.study().flush_store();
-    let inventory = peer.inventory().expect("inventory");
-    let live: u64 = inventory.iter().map(|s| s.records).sum();
-    assert!(live > 0, "computed runs are inventoried: {inventory:?}");
+    let computed = server
+        .study()
+        .cache()
+        .get(&run_key)
+        .expect("the figure computed gzip's baseline");
+    let record = peer
+        .recall(id, &key)
+        .expect("recall round-trips")
+        .expect("the peer serves the computed run");
+    assert_eq!(
+        fleet::verify_remote_record(&record, id, &key),
+        Some(encode_run(&computed))
+    );
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Raw-wire smoke: the fleet request kinds ride the same envelope
-/// grammar as `study`/`stats`, and unknown or conflicting kinds are
-/// answered with errors, connection kept open.
+/// Raw-wire smoke: the `recall` kind rides the same envelope grammar as
+/// `study`/`stats`, and conflicting kinds are answered with errors,
+/// connection kept open.
 #[test]
 fn fleet_wire_lines_share_the_envelope_grammar() {
-    use std::io::{BufRead, BufReader, Write};
-
     let dir = scratch("wire-smoke");
     let server = fleet_server(&dir, Vec::new());
-    let stream = std::net::TcpStream::connect(server.local_addr()).expect("connects");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout configures");
-    let mut writer = stream.try_clone().expect("clone");
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut conn = RawConn::open(&server);
+    let recall = r#""recall": {"key": "00", "config_hash": 1}"#;
 
-    // A conflicting request (stats + inventory) is refused.
-    writer
-        .write_all(b"{\"id\": 1, \"stats\": true, \"inventory\": true}\n")
-        .expect("writes");
-    reader.read_line(&mut line).expect("reads");
-    assert!(line.contains("\"err\""), "{line}");
+    // A conflicting request (stats + recall) is refused.
+    let reply = conn.ask(&format!(r#"{{"id": 1, "stats": true, {recall}}}"#));
+    assert!(reply.contains("\"err\""), "{reply}");
 
-    // An inventory request on the same connection still answers.
-    line.clear();
-    writer
-        .write_all(b"{\"id\": 2, \"inventory\": true}\n")
-        .expect("writes");
-    reader.read_line(&mut line).expect("reads");
-    assert!(line.contains("\"id\":2"), "{line}");
-    assert!(line.contains("\"inventory\""), "{line}");
+    // A recall on the same connection still answers: a peer-side miss.
+    let reply = conn.ask(&format!(r#"{{"id": 2, {recall}}}"#));
+    assert!(reply.contains("\"id\":2"), "{reply}");
+    assert!(reply.contains("\"record\":null"), "{reply}");
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -130,12 +130,16 @@ fn malformed_lines_get_errors_and_the_connection_survives() {
     let server = start_server(1, 8);
     let mut client = TcpClient::connect(&server.local_addr().to_string()).expect("connects");
 
+    // A nesting bomb just under the line cap: deep enough to overflow a
+    // recursive parser's stack, which would abort the whole server.
+    let bomb = "[".repeat(60_000);
     for bad in [
         "this is not json",
         "[1, 2, 3]",
         r#"{"id": 1}"#,
         r#"{"id": 2, "study": {"Frobnicate": {}}}"#,
         r#"{"id": 3, "study": {"Compare": {"benchmark": "NoSuchBench"}}}"#,
+        &bomb,
     ] {
         client.send_raw_line(bad).expect("sends");
         let (id, reply) = client.read_reply().expect("server answers malformed input");
@@ -150,7 +154,7 @@ fn malformed_lines_get_errors_and_the_connection_survives() {
     assert!(matches!(value, serde::Value::Object(_)));
 
     let report = server.shutdown();
-    assert_eq!(report.protocol_errors, 5, "{report:?}");
+    assert_eq!(report.protocol_errors, 6, "{report:?}");
     assert_eq!(report.completed, 1);
 }
 

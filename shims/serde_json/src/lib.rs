@@ -44,17 +44,25 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
+/// Deepest array/object nesting [`from_str`] accepts — serde_json's
+/// default recursion limit. The parser recurses once per level, so
+/// without a bound one line of `[` overflows the thread's stack, and a
+/// stack overflow aborts the whole process.
+const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Value`] tree (the shim's stand-in for
 /// `serde_json::from_str::<Value>`).
 ///
 /// # Errors
 ///
 /// Returns an [`Error`] naming the byte offset of the first syntax error,
-/// or of trailing non-whitespace after the document.
+/// of nesting deeper than 128 levels (serde_json's default limit), or
+/// of trailing non-whitespace after the document.
 pub fn from_str(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -68,6 +76,8 @@ pub fn from_str(input: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -118,11 +128,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -426,6 +447,24 @@ mod tests {
         assert!(from_str("[1,]").is_err());
         assert!(from_str("1 2").is_err());
         assert!(from_str("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_an_abort() {
+        let nest = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(from_str(&nest(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(from_str(&nest(MAX_DEPTH, r#"{"a":"#, "}").replace(":}", ":1}")).is_ok());
+        for bomb in [
+            nest(MAX_DEPTH + 1, "[", "]"),
+            nest(MAX_DEPTH + 1, r#"{"a":"#, "}"),
+            // Unterminated and far deeper than any stack can recurse.
+            "[".repeat(1_000_000),
+        ] {
+            let err = from_str(&bomb).expect_err("too deep");
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        }
     }
 
     #[test]
