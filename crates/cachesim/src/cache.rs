@@ -542,12 +542,12 @@ impl Cache {
         // line's saturation progress into the new regime so the model
         // checker can demonstrate the original bug; the fixed behavior
         // restarts every counter.
-        #[cfg(feature = "pre-fix-stale-counter")]
+        #[cfg(mutant = "pre-fix-stale-counter")]
         for i in 0..self.cfg.num_lines() {
             let stale = self.local_counter(i);
             self.slab.base_count[i] = stale;
         }
-        #[cfg(not(feature = "pre-fix-stale-counter"))]
+        #[cfg(not(mutant = "pre-fix-stale-counter"))]
         for base in &mut self.slab.base_count {
             *base = 0;
         }
@@ -753,8 +753,8 @@ impl Cache {
         }
         self.slab.lru_stamp[i] = stamp;
         // Mirror the decayed path's seeded accounting bug (CI mutation
-        // smoke): the hit count is dropped under that feature.
-        #[cfg(not(feature = "seeded-accounting-bug"))]
+        // smoke): the hit count is dropped under that mutant.
+        #[cfg(not(mutant = "seeded-accounting-bug"))]
         {
             self.stats.hits += 1;
         }
@@ -824,12 +824,12 @@ impl Cache {
             // when a deadline is already pending, so a touched line still
             // decays at its stale deadline. The differential suite and the
             // schedule-coherence audit both exist to catch exactly this.
-            #[cfg(feature = "wheel-bug")]
+            #[cfg(mutant = "wheel-bug")]
             let keep_stale = self
                 .wheel
                 .as_ref()
                 .is_some_and(|w| w.is_scheduled(Self::decay_event_id(i)));
-            #[cfg(not(feature = "wheel-bug"))]
+            #[cfg(not(mutant = "wheel-bug"))]
             let keep_stale = false;
             if !keep_stale {
                 self.reschedule_decay(i);
@@ -842,7 +842,7 @@ impl Cache {
             // A deliberately seeded accounting bug for CI's mutation smoke
             // check: dropping the hit count changes no timing result, so
             // only the conservation audit can catch it.
-            #[cfg(not(feature = "seeded-accounting-bug"))]
+            #[cfg(not(mutant = "seeded-accounting-bug"))]
             {
                 self.stats.hits += 1;
             }

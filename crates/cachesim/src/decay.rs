@@ -85,11 +85,11 @@ impl DecayConfig {
         // intervals move by two powers of two — exactly what the
         // prediction-vs-simulation oracle and the golden-data suite exist
         // to catch. Never enable outside that check.
-        #[cfg(feature = "seeded-knee-bug")]
+        #[cfg(mutant = "seeded-knee-bug")]
         {
             self.interval_cycles.max(1)
         }
-        #[cfg(not(feature = "seeded-knee-bug"))]
+        #[cfg(not(mutant = "seeded-knee-bug"))]
         {
             (self.interval_cycles / 4).max(1)
         }

@@ -19,7 +19,7 @@
 //! 4. **No transition leaves the two-bit counter stale** — in particular,
 //!    [`crate::Cache::set_decay_interval`] must restart every line's idle
 //!    history (the historical stale-counter bug, reproducible here by
-//!    building with `--features pre-fix-stale-counter`).
+//!    building with `--cfg mutant="pre-fix-stale-counter"`).
 //! 5. **Behavior separation** — preserving standby never induces a miss;
 //!    losing standby never produces a slow hit.
 //! 6. **Schedule coherence** — after every transition the timing wheel's
@@ -474,7 +474,7 @@ fn check_invariants(cache: &Cache, obs: &Observation, decay: &DecayConfig) -> Op
 
     // (4b) Interval-change probe: from *any* reachable state, changing the
     // decay interval must restart every line's idle history. This is the
-    // PR 2 stale-counter bug; `--features pre-fix-stale-counter` reverts
+    // historical stale-counter bug; the `pre-fix-stale-counter` mutant reverts
     // the fix and this probe finds it with a minimal trace. The probe
     // quadruples the interval *currently in force* (which a switching
     // exploration may have moved off `decay.interval_cycles`), so it is
@@ -723,7 +723,7 @@ pub fn check_all_two_set() -> Result<Vec<Report>, Counterexample> {
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
+    #[cfg(not(mutant = "pre-fix-stale-counter"))]
     #[test]
     fn exploration_is_finite_and_nontrivial() {
         let decay = studied_configs()[0];
@@ -736,7 +736,7 @@ mod tests {
         assert!(report.transitions >= report.states);
     }
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
+    #[cfg(not(mutant = "pre-fix-stale-counter"))]
     #[test]
     fn all_studied_configurations_satisfy_the_invariants() {
         match check_all() {
@@ -750,7 +750,7 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
+    #[cfg(not(mutant = "pre-fix-stale-counter"))]
     #[test]
     fn switching_explorations_satisfy_the_invariants() {
         match check_all_switching() {
@@ -764,7 +764,7 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
+    #[cfg(not(mutant = "pre-fix-stale-counter"))]
     #[test]
     fn switching_reaches_strictly_more_states() {
         // The switch alphabet must genuinely enlarge the reachable space
@@ -782,7 +782,7 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
+    #[cfg(not(mutant = "pre-fix-stale-counter"))]
     #[test]
     fn wrap_phase_restarts_on_switch_but_stats_accumulate() {
         // The canonical key must follow Cache::wrap_phase (the flush
@@ -810,7 +810,7 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
+    #[cfg(not(mutant = "pre-fix-stale-counter"))]
     #[test]
     fn two_set_explorations_satisfy_the_invariants_under_the_state_ceiling() {
         match check_all_two_set() {
@@ -836,7 +836,7 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
+    #[cfg(not(mutant = "pre-fix-stale-counter"))]
     #[test]
     fn two_set_switching_exploration_is_green() {
         // Interval switching across a 2-set geometry: the stalest
@@ -850,7 +850,7 @@ mod tests {
         assert!(report.states > 10, "degenerate exploration: {report:?}");
     }
 
-    #[cfg(not(feature = "pre-fix-stale-counter"))]
+    #[cfg(not(mutant = "pre-fix-stale-counter"))]
     #[test]
     fn two_set_canonical_key_quotients_tag_renaming() {
         // Two caches whose resident tags differ only by a renaming
@@ -879,7 +879,7 @@ mod tests {
     /// historical bug — and because the interval-change probe runs on every
     /// state, the minimal trace is just the shortest path to a non-zero
     /// two-bit counter.
-    #[cfg(feature = "pre-fix-stale-counter")]
+    #[cfg(mutant = "pre-fix-stale-counter")]
     #[test]
     fn checker_rediscovers_the_stale_counter_bug() {
         let ce = check_all().expect_err("reverted fix must be caught");
@@ -906,7 +906,7 @@ mod tests {
     /// interval-change probe runs per line, so a second set gives the bug
     /// strictly more places to hide — none of which the relabeled
     /// canonical key may prune away.
-    #[cfg(feature = "pre-fix-stale-counter")]
+    #[cfg(mutant = "pre-fix-stale-counter")]
     #[test]
     fn two_set_checker_rediscovers_the_stale_counter_bug() {
         let ce = check_all_two_set().expect_err("reverted fix must be caught at 2 sets");

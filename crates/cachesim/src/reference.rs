@@ -201,9 +201,6 @@ impl ReferenceCache {
             let period = decay.quarter_interval();
             self.global = GlobalCounter::new(period);
             self.ticks_seen = 0;
-            // `pre-fix-stale-counter` (CI mutation smoke only) reverts this
-            // reset so the model checker can demonstrate the original bug.
-            #[cfg(not(feature = "pre-fix-stale-counter"))]
             for line in &mut self.lines {
                 line.local_counter = 0;
             }
@@ -398,12 +395,7 @@ impl ReferenceCache {
             self.stats.wakes += 1;
             self.stats.slow_hits += 1;
         } else {
-            // Mirrors the seeded mutation in the wheel cache so equivalence
-            // holds under the `seeded-accounting-bug` CI smoke build.
-            #[cfg(not(feature = "seeded-accounting-bug"))]
-            {
-                self.stats.hits += 1;
-            }
+            self.stats.hits += 1;
         }
         if probed_tag {
             self.stats.tag_probes += 1;

@@ -11,7 +11,7 @@
 //! *independent* implementations; a scheduling bug in the wheel shows up
 //! here as a divergence even when both drivers agree with each other. The
 //! `wheel-bug` seeded mutation exists to prove exactly that: under
-//! `--features wheel-bug` the deterministic tests below must fail.
+//! `--cfg mutant="wheel-bug"` the deterministic tests below must fail.
 
 use cachesim::{
     AccessKind, Cache, CacheConfig, CacheStats, DecayConfig, DecayPolicy, ReferenceCache,
@@ -215,7 +215,7 @@ fn wheel_matches_reference_across_an_adaptive_interval_ladder() {
 /// it again. A correct hot path reschedules the decay deadline on the
 /// second touch; the mutation keeps the stale deadline, so the line decays
 /// a wrap early and the touched-line access below turns from a fast hit
-/// into a slow one. Under `--features wheel-bug` this test MUST fail.
+/// into a slow one. Under `--cfg mutant="wheel-bug"` this test MUST fail.
 #[test]
 fn touched_line_keeps_its_fresh_decay_deadline() {
     // interval 256 -> wrap period 64. First touch at 0 schedules decay at
@@ -255,8 +255,8 @@ fn touched_line_keeps_its_fresh_decay_deadline() {
 /// of the differential oracle: immediately after the second touch the
 /// wheel's deadline must agree with the counter-derived one, and the
 /// schedule-coherence check in [`Cache::audit`] flags the stale entry
-/// while it is still pending. Under `--features wheel-bug` this test MUST
-/// fail (with a `DecayScheduleDrift` violation).
+/// while it is still pending. Under `--cfg mutant="wheel-bug"` this test
+/// MUST fail (with a `DecayScheduleDrift` violation).
 #[cfg(feature = "audit")]
 #[test]
 fn audit_flags_a_stale_decay_schedule() {

@@ -279,7 +279,7 @@ impl StudyCtx {
 /// The `Ready` run is boxed so a shard full of memos does not pay the
 /// 280-byte `RawRun` footprint per pending marker too.
 // With the seeded race the Pending variant is matched but never built.
-#[cfg_attr(feature = "coalesce-race-bug", allow(dead_code))]
+#[cfg_attr(mutant = "coalesce-race-bug", allow(dead_code))]
 enum Slot {
     Ready(Box<RawRun>),
     Pending(Arc<InFlight>),
@@ -549,7 +549,7 @@ impl RunCache {
         let mut waited = false;
         loop {
             // lint: allow(unwrap): a poisoned lock means a worker panicked; propagate
-            #[cfg_attr(feature = "coalesce-race-bug", allow(unused_mut))]
+            #[cfg_attr(mutant = "coalesce-race-bug", allow(unused_mut))]
             let mut shard = self.shard(&key).lock().expect("cache shard lock");
             match shard.get(&key) {
                 Some(Slot::Ready(r)) => {
@@ -576,7 +576,7 @@ impl RunCache {
                     // coalesce; the seeded race below omits it so every
                     // contender computes (caught by the interleave
                     // checker's coalescing model in CI).
-                    #[cfg(not(feature = "coalesce-race-bug"))]
+                    #[cfg(not(mutant = "coalesce-race-bug"))]
                     shard.insert(key, Slot::Pending(Arc::clone(&inflight)));
                     drop(shard);
                     let mut guard = PendingGuard {

@@ -58,7 +58,7 @@ impl PeerClient {
 
     /// Asks the peer for the raw encoded record under `id`. `Ok(None)`
     /// is a peer-side miss; the returned bytes are NOT yet verified —
-    /// callers must run [`crate::verify_remote_record`].
+    /// callers must run [`runstore::verify_record`].
     ///
     /// # Errors
     ///

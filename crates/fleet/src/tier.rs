@@ -2,18 +2,17 @@
 //!
 //! [`FleetTier`] implements [`simcore::RemoteTier`]: on a local
 //! memory+disk miss the study asks each peer in list order and takes
-//! the first record that survives [`crate::verify_remote_record`] — a
+//! the first record that survives [`runstore::verify_record`] — a
 //! record a peer poisons (or damages) is rejected and the next peer is
 //! tried, so the fleet can only ever turn a recompute into a verified
 //! reuse, never into a wrong answer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use runstore::RecordId;
+use runstore::{verify_record, RecordId};
 use simcore::RemoteTier;
 
 use crate::client::PeerClient;
-use crate::verify_remote_record;
 
 /// A point-in-time snapshot of fleet-tier traffic. Counters are relaxed
 /// atomics: approximate while recalls are in flight, exact once the
@@ -83,7 +82,7 @@ impl RemoteTier for FleetTier {
     fn recall(&self, id: RecordId, key: &[u8]) -> Option<Vec<u8>> {
         for peer in &self.peers {
             match peer.recall(id, key) {
-                Ok(Some(bytes)) => match verify_remote_record(&bytes, id, key) {
+                Ok(Some(bytes)) => match verify_record(&bytes, id, key) {
                     Some(payload) => {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         return Some(payload);

@@ -2,11 +2,11 @@
 //! mislabeled records must only ever cause a fleet-level miss (and
 //! fall-through to the next peer or to compute) — never a wrong answer.
 //!
-//! These double as the CI negative smoke: with `--features
-//! fleet-poison-bug` (remote recalls skip read-back verification) they
-//! MUST fail, proving the verification path is load-bearing and the
-//! tests would catch its removal. Mirrors runstore's
-//! `store-corruption-bug` smoke.
+//! These double as the CI negative smoke: with `--cfg
+//! mutant="store-corruption-bug"` (`runstore::verify_record`, which
+//! remote and disk recalls share, skips verification) they MUST fail,
+//! proving the verification path is load-bearing and the tests would
+//! catch its removal.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -138,8 +138,8 @@ fn poisoned_record_becomes_a_miss_never_a_wrong_answer() {
     )]);
     // The flipped byte breaks the FNV-1a checksum: read-back
     // verification must reject the record and report a fleet miss.
-    // (Under `fleet-poison-bug` the tampered payload comes back as a
-    // hit — this assertion is the negative smoke's tripwire.)
+    // (Under `store-corruption-bug` the tampered payload comes back as
+    // a hit — this assertion is the negative smoke's tripwire.)
     assert_eq!(tier.recall(id, &key), None);
     let c = tier.counters();
     assert_eq!((c.hits, c.misses, c.rejected), (0, 1, 1));

@@ -35,7 +35,7 @@ const WELCH_EPS: f64 = 1e-9;
 /// `seeded-leakage-blind-bug` CI mutation collapses the alphabet to a
 /// single symbol; every metric must then read zero and the harness
 /// self-test must fail.
-#[cfg(not(feature = "seeded-leakage-blind-bug"))]
+#[cfg(not(mutant = "seeded-leakage-blind-bug"))]
 pub fn quantize(latency: Cycles) -> u16 {
     latency.get().min(u64::from(u16::MAX)) as u16
 }
@@ -43,7 +43,7 @@ pub fn quantize(latency: Cycles) -> u16 {
 /// Quantizes one probe latency into the canonical observation alphabet.
 ///
 /// Seeded-bug variant: aliases every latency into one class.
-#[cfg(feature = "seeded-leakage-blind-bug")]
+#[cfg(mutant = "seeded-leakage-blind-bug")]
 pub fn quantize(latency: Cycles) -> u16 {
     let _ = latency;
     0

@@ -3,7 +3,7 @@
 //! baseline must be blind.
 //!
 //! CI runs this target twice: normally (must pass) and with
-//! `--features seeded-leakage-blind-bug` (must FAIL — the mutation
+//! `--cfg mutant="seeded-leakage-blind-bug"` (must FAIL — the mutation
 //! collapses probe-latency quantization into a single symbol, so a
 //! harness that still "detects leakage" under it would be reporting
 //! noise).

@@ -1,7 +1,7 @@
 //! Repo tidy lint (rust-tidy style: plain-text scanning, no external
 //! dependencies, no network).
 //!
-//! Eleven rule families, each suppressible only by an explicit, reasoned
+//! Ten rule families, each suppressible only by an explicit, reasoned
 //! marker comment — `// lint: allow(<rule>): <reason>` on the offending
 //! line or within [`MARKER_WINDOW`] lines above it:
 //!
@@ -28,6 +28,9 @@
 //!   `core::parallel` (the workspace's one fanout primitive). Anywhere
 //!   else, ad-hoc concurrency bypasses the job queue's backpressure and
 //!   the deterministic ordered-map discipline.
+//! * **`fs-boundary`** — `std::fs` lives only in `crates/runstore`, which
+//!   owns the checksums, torn-tail recovery and read-back verification
+//!   that ad-hoc file access would bypass.
 //! * **`no-alloc-in-sweep`** — the decay timing wheel
 //!   (`cachesim::wheel`) promises zero steady-state allocation: every
 //!   schedule/cancel/advance runs on preallocated parallel arrays, so any
@@ -40,11 +43,6 @@
 //!   touches the mutex stalls for the full duration. Condvar `.wait(` is
 //!   exempt — it releases the lock while blocked, which is the sanctioned
 //!   way to wait under a guard.
-//! * **`feature-smoke`** — every `*-bug` cargo feature in a workspace
-//!   manifest is a seeded mutation whose whole value is the CI negative
-//!   smoke that proves the suite still catches it. A feature name absent
-//!   from `.github/workflows/` is a smoke test that silently stopped
-//!   running (or never existed).
 //! * **`no-wallclock-in-leakage`** — the timing-leakage harness
 //!   (`crates/leakage`) reports attacker-visible *simulated* latencies;
 //!   every number it emits must be a pure function of the seed. Any
@@ -183,8 +181,6 @@ pub enum Rule {
     NoAllocInSweep,
     /// A sleep or blocking I/O call while a lock guard is live.
     NoSleepWhileLocked,
-    /// A seeded `*-bug` cargo feature with no CI negative-smoke step.
-    FeatureSmoke,
     /// A wall-clock construct inside the timing-leakage harness.
     NoWallclockInLeakage,
 }
@@ -202,7 +198,6 @@ impl Rule {
             Rule::FsBoundary => "fs-boundary",
             Rule::NoAllocInSweep => "no-alloc-in-sweep",
             Rule::NoSleepWhileLocked => "no-sleep-while-locked",
-            Rule::FeatureSmoke => "feature-smoke",
             Rule::NoWallclockInLeakage => "no-wallclock-in-leakage",
         }
     }
@@ -620,47 +615,6 @@ fn check_no_wallclock(rel: &Path, lines: &[&str], out: &mut Vec<Violation>) {
     }
 }
 
-/// Scans one manifest's `[features]` section: every `*-bug` feature is a
-/// seeded mutation, and its whole value is the CI negative-smoke step
-/// that proves the suite still catches it — so each name must appear
-/// somewhere in the workflow text. Suppressible with a
-/// `# lint: allow(feature-smoke): <reason>` comment above the feature.
-pub fn check_feature_smoke(rel: &Path, manifest: &str, workflow: &str) -> Vec<Violation> {
-    let lines: Vec<&str> = manifest.lines().collect();
-    let mut out = Vec::new();
-    let mut in_features = false;
-    for (i, line) in lines.iter().enumerate() {
-        let t = line.trim();
-        if t.starts_with('[') {
-            in_features = t == "[features]";
-            continue;
-        }
-        if !in_features || t.starts_with('#') {
-            continue;
-        }
-        let Some((name, _)) = t.split_once('=') else {
-            continue;
-        };
-        let name = name.trim().trim_matches('"');
-        if !name.ends_with("-bug")
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-        {
-            continue;
-        }
-        if !workflow.contains(name) && !has_marker(&lines, i, Rule::FeatureSmoke) {
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line: i + 1,
-                rule: Rule::FeatureSmoke,
-                excerpt: t.to_string(),
-            });
-        }
-    }
-    out
-}
-
 /// Scans one file's content; `rel` decides which rules apply.
 pub fn scan_content(rel: &Path, content: &str) -> Vec<Violation> {
     let lines: Vec<&str> = content.lines().collect();
@@ -706,7 +660,7 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> std::io::Result<()> {
                 continue;
             }
             walk(&path, files)?;
-        } else if name.ends_with(".rs") || name == "Cargo.toml" {
+        } else if name.ends_with(".rs") {
             files.push(path);
         }
     }
@@ -725,31 +679,6 @@ fn in_scope(rel: &Path) -> bool {
     src_tree && !p.contains("/tests/") && !p.contains("/benches/")
 }
 
-/// True if `rel` is a manifest whose `*-bug` features CI must smoke: the
-/// workspace root and the member crates. Shims are vendored stubs, and
-/// the lint crate names the forbidden patterns (and carries fixtures).
-fn manifest_in_scope(rel: &Path) -> bool {
-    let p = rel.to_string_lossy().replace('\\', "/");
-    p == "Cargo.toml" || (p.starts_with("crates/") && !p.starts_with("crates/lint/"))
-}
-
-/// Concatenated text of every workflow under `root/.github/workflows`;
-/// empty when the directory is absent (every `*-bug` feature then fires,
-/// which is the right default for a repo that lost its CI config).
-fn workflow_text(root: &Path) -> String {
-    let mut text = String::new();
-    if let Ok(entries) = fs::read_dir(root.join(".github").join("workflows")) {
-        let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-        paths.sort();
-        for p in paths {
-            if let Ok(s) = fs::read_to_string(&p) {
-                text.push_str(&s);
-            }
-        }
-    }
-    text
-}
-
 /// Scans a workspace (or fixture) root, applying each rule to the files in
 /// its scope. Paths in the returned violations are relative to `root`.
 ///
@@ -760,17 +689,9 @@ pub fn scan_root(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut files = Vec::new();
     walk(root, &mut files)?;
     files.sort();
-    let workflow = workflow_text(root);
     let mut out = Vec::new();
     for path in files {
         let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-        if rel.file_name().is_some_and(|n| n == "Cargo.toml") {
-            if manifest_in_scope(&rel) {
-                let content = fs::read_to_string(&path)?;
-                out.extend(check_feature_smoke(&rel, &content, &workflow));
-            }
-            continue;
-        }
         if !in_scope(&rel) {
             continue;
         }
@@ -1112,36 +1033,6 @@ mod tests {
             v.iter().all(|v| v.rule != Rule::NoWallclockInLeakage),
             "{v:?}"
         );
-    }
-
-    #[test]
-    fn orphan_bug_feature_fires_and_a_smoked_one_passes() {
-        let manifest = "[package]\nname = \"q\"\n\n[features]\norphan-race-bug = []\nwheel-bug = []\naudit = []\n";
-        let workflow = "run: cargo test --features wheel-bug\n";
-        let v = check_feature_smoke(&rel("crates/q/Cargo.toml"), manifest, workflow);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::FeatureSmoke);
-        assert_eq!(v[0].line, 5);
-        assert!(v[0].excerpt.contains("orphan-race-bug"), "{v:?}");
-    }
-
-    #[test]
-    fn feature_smoke_marker_and_non_bug_features_are_exempt() {
-        let marked = "[features]\n# lint: allow(feature-smoke): smoke lives in the nightly workflow\nlegacy-race-bug = []\n";
-        let v = check_feature_smoke(&rel("Cargo.toml"), marked, "");
-        assert!(v.is_empty(), "{v:?}");
-
-        let plain = "[features]\naudit = []\ndefault = [\"audit\"]\n\n[dependencies]\nserde-bug-compat = \"1\"\n";
-        let v = check_feature_smoke(&rel("Cargo.toml"), plain, "");
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn manifest_scope_covers_root_and_member_crates_only() {
-        assert!(manifest_in_scope(&rel("Cargo.toml")));
-        assert!(manifest_in_scope(&rel("crates/cachesim/Cargo.toml")));
-        assert!(!manifest_in_scope(&rel("shims/serde/Cargo.toml")));
-        assert!(!manifest_in_scope(&rel("crates/lint/Cargo.toml")));
     }
 
     #[test]

@@ -40,7 +40,6 @@ fn seeded_fixtures_trip_every_rule() {
         Rule::FsBoundary,
         Rule::NoAllocInSweep,
         Rule::NoSleepWhileLocked,
-        Rule::FeatureSmoke,
         Rule::NoWallclockInLeakage,
     ] {
         assert!(

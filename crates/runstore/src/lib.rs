@@ -27,8 +27,9 @@
 //!   and the full key bytes. Any mismatch is treated as a miss — the
 //!   entry is dropped from the index and the caller recomputes — so a
 //!   damaged record is *never* returned. (The `store-corruption-bug`
-//!   feature seeds the obvious bug — skipping verification — for the CI
-//!   negative smoke; the corruption tests must fail with it enabled.)
+//!   mutant seeds the obvious bug — skipping verification — for the CI
+//!   negative smoke; the corruption and poisoned-peer tests must fail
+//!   under it.)
 //! * **Write-behind fills.** [`RunStore::append`] enqueues the record
 //!   and returns immediately; a dedicated flusher thread drains the
 //!   queue to disk and publishes the index entry once the record is
@@ -40,9 +41,9 @@
 //!   directory only grows. Deleting it is always safe — every record
 //!   can be recomputed.
 //! * **Fleet recall.** [`RunStore::export_record`] hands a peer the raw
-//!   encoded bytes of one record, unverified. The *requesting* side
-//!   parses and compares them ([`parse_record`]) exactly as a local
-//!   recall does before trusting a byte.
+//!   encoded bytes of one record, unverified. The *requesting* side runs
+//!   the same [`verify_record`] a local recall runs before trusting a
+//!   byte.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -304,12 +305,13 @@ impl RunStore {
                 return None;
             }
         };
-        match read_verified(&loc, id, key) {
-            Ok(payload) => {
+        let bytes = read_record_bytes(&loc).ok();
+        match bytes.and_then(|b| verify_record(&b, id, key)) {
+            Some(payload) => {
                 self.shared.hits.fetch_add(1, Ordering::Relaxed);
                 Some(payload)
             }
-            Err(_) => {
+            None => {
                 self.invalidate(id);
                 self.shared.misses.fetch_add(1, Ordering::Relaxed);
                 None
@@ -564,15 +566,15 @@ pub fn record_checksum(id: RecordId, key: &[u8], payload: &[u8]) -> u64 {
 
 /// A record parsed (and checksum-verified) out of a byte buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedRecord {
+struct ParsedRecord {
     /// The record's content address.
-    pub id: RecordId,
+    id: RecordId,
     /// The canonical key bytes.
-    pub key: Vec<u8>,
+    key: Vec<u8>,
     /// The payload bytes.
-    pub payload: Vec<u8>,
+    payload: Vec<u8>,
     /// Total encoded length, bytes.
-    pub len: usize,
+    len: usize,
 }
 
 /// Parses the record starting at `buf[offset..]`, verifying framing and
@@ -583,7 +585,7 @@ pub struct ParsedRecord {
 /// Returns a static description of the first problem (truncation, bad
 /// magic or version, insane lengths, checksum mismatch) — the scan and
 /// recall paths treat them all identically, as "not a valid record".
-pub fn parse_record(buf: &[u8], offset: usize) -> Result<ParsedRecord, &'static str> {
+fn parse_record(buf: &[u8], offset: usize) -> Result<ParsedRecord, &'static str> {
     let rec = buf.get(offset..).ok_or("offset past end")?;
     if rec.len() < RECORD_HEADER_BYTES {
         return Err("truncated header");
@@ -660,39 +662,33 @@ fn scan_segment(path: &Path, index: &mut HashMap<RecordId, Loc>) -> io::Result<u
     Ok(torn)
 }
 
-/// Re-reads `loc` from disk and verifies it end to end against the
-/// expected id and key bytes.
-///
-/// # Errors
-///
-/// Any I/O failure, framing damage, checksum mismatch, or id/key
-/// disagreement — the caller treats every case as a miss.
-fn read_verified(loc: &Loc, id: RecordId, key: &[u8]) -> Result<Vec<u8>, &'static str> {
-    let buf = read_record_bytes(loc)?;
-    #[cfg(feature = "store-corruption-bug")]
+/// Verifies one raw encoded record against the expected id and key
+/// bytes: parse (framing + FNV-1a checksum), then compare the id and the
+/// full key bytes, and require `bytes` to be exactly one record. Both
+/// recall paths run it — [`RunStore::recall`] on the bytes it re-reads
+/// from disk, the fleet tier on the bytes a peer ships. Returns the
+/// payload on success, `None` — a miss — on any damage or mismatch.
+pub fn verify_record(bytes: &[u8], id: RecordId, key: &[u8]) -> Option<Vec<u8>> {
+    #[cfg(mutant = "store-corruption-bug")]
     {
-        // Seeded bug for the CI negative smoke: trust the index blindly
+        // Seeded bug for the CI negative smoke: trust the bytes blindly
         // and slice the payload out without verifying anything. The
-        // corruption tests must turn this into a failure.
-        if buf.len() >= RECORD_HEADER_BYTES {
-            let key_len = u32::from_le_bytes(buf[24..28].try_into().unwrap_or([0; 4])) as usize;
+        // corruption and poisoned-peer tests must turn this into a failure.
+        let _ = (id, key);
+        if bytes.len() >= RECORD_HEADER_BYTES {
+            let key_len = u32::from_le_bytes(bytes[24..28].try_into().unwrap_or([0; 4])) as usize;
             let start = RECORD_HEADER_BYTES + key_len;
-            if start <= buf.len() {
-                return Ok(buf[start..].to_vec());
+            if start <= bytes.len() {
+                return Some(bytes[start..].to_vec());
             }
         }
-        return Err("truncated record body");
+        None
     }
-    #[cfg(not(feature = "store-corruption-bug"))]
+    #[cfg(not(mutant = "store-corruption-bug"))]
     {
-        let record = parse_record(&buf, 0)?;
-        if record.id != id {
-            return Err("record id mismatch");
-        }
-        if record.key != key {
-            return Err("key bytes mismatch (hash collision or damage)");
-        }
-        Ok(record.payload)
+        let record = parse_record(bytes, 0).ok()?;
+        (record.id == id && record.key == key && record.len == bytes.len())
+            .then_some(record.payload)
     }
 }
 
@@ -731,5 +727,29 @@ mod tests {
             bad[flip] ^= 0x40;
             assert!(parse_record(&bad, 0).is_err(), "flip={flip}");
         }
+    }
+
+    #[test]
+    fn verify_accepts_intact_and_rejects_tampered() {
+        let key = b"canonical-key";
+        let id = RecordId::of(key, 42);
+        let bytes = encode_record(id, key, b"payload");
+        assert_eq!(
+            verify_record(&bytes, id, key).as_deref(),
+            Some(&b"payload"[..])
+        );
+        // Wrong id or key: a poisoned peer answering for the wrong run.
+        assert!(verify_record(&bytes, RecordId::of(key, 43), key).is_none());
+        assert!(verify_record(&bytes, id, b"other-key").is_none());
+        // Any flipped byte: checksum damage.
+        for flip in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[flip] ^= 0x01;
+            assert!(verify_record(&bad, id, key).is_none(), "flip={flip}");
+        }
+        // Trailing garbage: not exactly one record.
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert!(verify_record(&padded, id, key).is_none());
     }
 }

@@ -2,7 +2,7 @@
 //! reuse, torn-tail recovery, and flip-one-byte corruption detection.
 //!
 //! The corruption tests double as the CI negative smoke: with
-//! `--features store-corruption-bug` (recall skips read-back
+//! `--cfg mutant="store-corruption-bug"` (recall skips read-back
 //! verification) they MUST fail, proving the verification path is load-
 //! bearing and the tests would catch its removal.
 

@@ -183,7 +183,7 @@ pub(crate) struct Shared {
     pub(crate) fleet: Option<Arc<fleet::FleetTier>>,
     /// Seeded lost-reply bug (CI negative smoke): set once the server
     /// has dropped its first response.
-    #[cfg(feature = "dropped-response-bug")]
+    #[cfg(mutant = "dropped-response-bug")]
     pub(crate) dropped_one: AtomicBool,
 }
 
@@ -258,7 +258,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             store,
             fleet: fleet_tier,
-            #[cfg(feature = "dropped-response-bug")]
+            #[cfg(mutant = "dropped-response-bug")]
             dropped_one: AtomicBool::new(false),
         });
         let workers = cfg.workers.max(1);
@@ -352,7 +352,7 @@ fn worker_loop(shared: &Shared) {
             Ok(_) => shared.stats.completed.fetch_add(1, Ordering::Relaxed),
             Err(_) => shared.stats.failed.fetch_add(1, Ordering::Relaxed),
         };
-        #[cfg(feature = "dropped-response-bug")]
+        #[cfg(mutant = "dropped-response-bug")]
         {
             // Seeded bug for the CI negative smoke: the first job each
             // server serves "forgets" to deliver its response. The

@@ -194,7 +194,7 @@ fn fleet_recall_misses_then_hits_after_the_peer_computes() {
         .expect("recall round-trips")
         .expect("the peer serves the computed run");
     assert_eq!(
-        fleet::verify_remote_record(&record, id, &key),
+        runstore::verify_record(&record, id, &key),
         Some(encode_run(&computed))
     );
 

@@ -65,7 +65,7 @@ fn heavy_request() -> StudyRequest {
 #[test]
 fn every_response_is_delivered() {
     // The CI negative smoke runs exactly this test with the seeded
-    // `dropped-response-bug` feature and requires it to FAIL: the
+    // `dropped-response-bug` mutant and requires it to FAIL: the
     // server's first served job silently loses its response, which shows
     // up here as a wait timeout.
     let server = start_server(2, 8);

@@ -670,10 +670,11 @@ impl CycleHistogram {
 }
 
 /// Deliberate dimensional violation, compiled only under the `unit-bug`
-/// feature. CI runs `cargo build -p units --features unit-bug` and asserts
-/// that the build FAILS — proving that adding [`Joules`] to [`Cycles`]
-/// is rejected by the type system, not merely by convention.
-#[cfg(feature = "unit-bug")]
+/// mutant. CI runs `cargo build -p units` with
+/// `RUSTFLAGS='--cfg mutant="unit-bug"'` and asserts that the build FAILS
+/// with E0308 — proving that adding [`Joules`] to [`Cycles`] is rejected
+/// by the type system, not merely by convention.
+#[cfg(mutant = "unit-bug")]
 pub fn seeded_unit_bug() -> Joules {
     Joules::new(1.0e-9) + Cycles::new(1)
 }

@@ -17,7 +17,7 @@
 //! UPDATE_GOLDENS=1 cargo test --test fidelity -- --ignored   # full tier
 //! ```
 //!
-//! Under `--features seeded-knee-bug` (the CI mutation smoke) both guards
+//! Under `--cfg mutant="seeded-knee-bug"` (the CI mutation smoke) both guards
 //! must FAIL — that build plants a decay-machinery bug the harness exists
 //! to catch.
 

@@ -12,7 +12,7 @@
 //! delegate straight to std, so every other test in this suite behaves
 //! identically.
 //!
-//! With `--features coalesce-race-bug` (CI negative smoke) the Pending
+//! With `--cfg mutant="coalesce-race-bug"` (CI negative smoke) the Pending
 //! slot is never published and `coalescing_never_double_computes` must
 //! FAIL, printing the minimal replayable schedule trace that exhibits the
 //! double-compute.
