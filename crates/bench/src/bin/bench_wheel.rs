@@ -1,18 +1,14 @@
-//! Measures the data-oriented hot path (struct-of-arrays line slabs plus
-//! the hierarchical decay timing wheel) against two yardsticks and writes
-//! `BENCH_wheel.json`:
-//!
-//! 1. The fig-3 savings sweep (60k instructions, L2=5) end to end — the
-//!    same workload `bench_parallel` timed on the sweep-based build, so
-//!    the two reports stay directly comparable.
-//! 2. A decay-enabled 2 MB L2 at the Table-2 geometry (32,768 lines) on a
-//!    synthetic trace, run through both the wheel [`Cache`] and the
-//!    retained naive [`ReferenceCache`] — the line count where per-wrap
-//!    full sweeps hurt most, and the ratio the slab+wheel rework exists
-//!    to win.
+//! Measures the decay caches' data-oriented hot path (struct-of-arrays
+//! line slabs plus the hierarchical decay timing wheel) and writes
+//! `BENCH_wheel.json`: a decay-enabled 2 MB L2 at the Table-2 geometry
+//! (32,768 lines) on a synthetic trace, run through both the wheel
+//! [`Cache`] and the retained naive [`ReferenceCache`] — the line count
+//! where per-wrap full sweeps hurt most, and the ratio the slab+wheel
+//! rework exists to win. End-to-end figure timing is `tierbench`'s
+//! `figures_cold` workload.
 //!
 //! ```text
-//! bench_wheel [--insts N] [--repeats R] [--out FILE]
+//! bench_wheel [--repeats R] [--out FILE]
 //! ```
 //!
 //! Each measurement is repeated `repeats` times and the fastest repeat is
@@ -24,16 +20,7 @@ use cachesim::{
     AccessKind, Cache, CacheConfig, DecayConfig, DecayPolicy, ReferenceCache, StandbyBehavior,
 };
 use serde::Serialize;
-use simcore::{figures, Study, StudyConfig};
 use units::Seconds;
-
-#[derive(Serialize)]
-struct Fig3Point {
-    /// Fastest repeat.
-    best_seconds: Seconds,
-    /// All repeats.
-    repeats_seconds: Vec<Seconds>,
-}
 
 #[derive(Serialize)]
 struct L2DecayPoint {
@@ -58,10 +45,7 @@ struct L2DecayPoint {
 #[derive(Serialize)]
 struct BenchReport {
     workload: String,
-    insts: u64,
     repeats: usize,
-    host_available_parallelism: usize,
-    fig3: Fig3Point,
     l2_decay: L2DecayPoint,
 }
 
@@ -119,19 +103,12 @@ fn min_seconds(times: &[Seconds]) -> Seconds {
 }
 
 fn main() {
-    let mut insts: u64 = 60_000;
     let mut repeats: usize = 3;
     let mut out = String::from("BENCH_wheel.json");
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--insts" => {
-                insts = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--insts needs a number"))
-            }
             "--repeats" => {
                 repeats = it
                     .next()
@@ -148,26 +125,6 @@ fn main() {
         }
     }
 
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    // 1. The fig-3 sweep, single-threaded (the bench_parallel baseline).
-    let mut fig3_times = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        let study = Study::with_threads(StudyConfig::with_insts(insts), 1);
-        let start = Instant::now();
-        figures::savings_figure(&study, "fig3", 5, 110.0)
-            .unwrap_or_else(|e| die(&format!("fig3 sweep: {e}")));
-        fig3_times.push(Seconds::new(start.elapsed().as_secs_f64()));
-    }
-    let fig3_best = min_seconds(&fig3_times);
-    eprintln!(
-        "fig3 sweep: best {:.3}s over {repeats} repeats",
-        fig3_best.get()
-    );
-
-    // 2. Decay on the Table-2 2 MB L2, wheel vs retained reference.
     let l2 = CacheConfig::l2_2m_2way(11);
     let interval = 8192u64;
     let accesses = 400_000u64;
@@ -223,14 +180,8 @@ fn main() {
     );
 
     let report = BenchReport {
-        workload: "fig3 savings sweep (L2=5) + Table-2 2MB L2 decay replay".into(),
-        insts,
+        workload: "Table-2 2MB L2 decay replay".into(),
         repeats,
-        host_available_parallelism: hw,
-        fig3: Fig3Point {
-            best_seconds: fig3_best,
-            repeats_seconds: fig3_times,
-        },
         l2_decay: L2DecayPoint {
             lines: l2.num_lines(),
             interval_cycles: interval,

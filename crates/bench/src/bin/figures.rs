@@ -2,25 +2,31 @@
 //! extension analyses.
 //!
 //! ```text
-//! figures [--insts N] [--json FILE] [--threads N]
-//!         [fig1|table1|table2|table3|fig3..fig13|calibrate|ablations|reuse|thermal|all]
+//! figures [--insts N] [--json FILE]
+//!         [table1|table2|table3|fig1|fig2|nand_kdesign|fig3..fig13|
+//!          calibrate|cal|ablations|reuse|thermal|all]
 //! ```
 //!
-//! With no selector, prints everything (`all`). `--json FILE` additionally
-//! dumps every per-run result as JSON for downstream plotting. `--threads N`
-//! sets the worker count for the parallel sweeps (default: the
-//! `LEAKAGE_THREADS` environment variable, else all hardware threads).
+//! With no selector, prints everything (`all`); `fig2` and `nand_kdesign`
+//! name the same figure, as do `calibrate` and `cal`. `--json FILE`
+//! additionally dumps every per-run result as JSON for downstream
+//! plotting. Any other argument is an error. Every parallel fan-out takes
+//! its worker count from the `LEAKAGE_THREADS` environment variable,
+//! else all hardware threads; the output is identical at any count.
 
 use hotleakage::validation::{self, SweepKind};
 use hotleakage::{Environment, TechNode};
 use simcore::{figures, report, Study, StudyConfig};
+
+/// Every selector the command line accepts, space-separated.
+const SELECTORS: &str = "all table1 table2 table3 fig1 fig2 nand_kdesign fig3 fig4 fig5 fig6 \
+    fig7 fig8 fig9 fig10 fig11 fig12 fig13 calibrate cal ablations reuse thermal";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut insts: u64 = 300_000;
     let mut what = String::from("all");
     let mut json_path: Option<String> = None;
-    let mut threads = simcore::default_threads();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -37,17 +43,15 @@ fn main() {
                         .to_string(),
                 );
             }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("--threads needs a positive number"));
+            selector if SELECTORS.split_whitespace().any(|s| s == selector) => {
+                what = selector.to_string();
             }
-            other => what = other.to_string(),
+            other => die(&format!(
+                "unknown argument {other:?}; selectors are: {SELECTORS}"
+            )),
         }
     }
-    let study = Study::with_threads(StudyConfig::with_insts(insts), threads);
+    let study = Study::new(StudyConfig::with_insts(insts));
     let all = what == "all";
     let mut json_figures: Vec<simcore::FigureSeries> = Vec::new();
 

@@ -738,11 +738,6 @@ impl Study {
         self.threads
     }
 
-    /// Sets the worker count batch calls use (minimum 1).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
     /// Executes (or recalls) one timing run of `benchmark` under
     /// `technique` with the given L2 latency.
     ///

@@ -676,7 +676,7 @@ fn in_scope(rel: &Path) -> bool {
         return false;
     }
     let src_tree = p.starts_with("src/") || (p.starts_with("crates/") && p.contains("/src/"));
-    src_tree && !p.contains("/tests/") && !p.contains("/benches/")
+    src_tree && !p.contains("/tests/")
 }
 
 /// Scans a workspace (or fixture) root, applying each rule to the files in

@@ -461,6 +461,11 @@ fn warm_store_restart_serves_repeats_with_zero_executions() {
     let cold_server = Server::start(test_study_config(), &config).expect("cold server starts");
     let mut client = TcpClient::connect(&cold_server.local_addr().to_string()).expect("connects");
     let cold = client.request_value(&request).expect("cold serve");
+    let direct = Study::new(test_study_config())
+        .serve(&request)
+        .expect("direct execution")
+        .to_value();
+    assert_eq!(cold, direct, "store-backed reply != store-less study");
     let cold_report = cold_server.shutdown();
     let cold_store = cold_report.store.expect("store tier attached");
     assert!(cold_store.appends > 0, "cold runs persist: {cold_store:?}");
