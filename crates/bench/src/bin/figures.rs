@@ -2,13 +2,16 @@
 //! extension analyses.
 //!
 //! ```text
-//! figures [--insts N] [--json FILE]
-//!         [table1|table2|table3|fig1|fig2|nand_kdesign|fig3..fig13|
-//!          calibrate|cal|ablations|reuse|thermal|all]
+//! figures [--insts N] [--json FILE] [SELECTOR ...]
+//!
+//! SELECTOR: table1|table2|table3|fig1|fig2|nand_kdesign|fig3..fig13|
+//!           calibrate|cal|ablations|reuse|thermal|all
 //! ```
 //!
 //! With no selector, prints everything (`all`); `fig2` and `nand_kdesign`
-//! name the same figure, as do `calibrate` and `cal`. `--json FILE`
+//! name the same figure, as do `calibrate` and `cal`. Several selectors
+//! print their sections in the order `all` does, from one study, so
+//! figures that share runs simulate them once. `--json FILE`
 //! additionally dumps every per-run result as JSON for downstream
 //! plotting. Any other argument is an error. Every parallel fan-out takes
 //! its worker count from the `LEAKAGE_THREADS` environment variable,
@@ -25,7 +28,7 @@ const SELECTORS: &str = "all table1 table2 table3 fig1 fig2 nand_kdesign fig3 fi
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut insts: u64 = 300_000;
-    let mut what = String::from("all");
+    let mut selected: Vec<&str> = Vec::new();
     let mut json_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -44,7 +47,7 @@ fn main() {
                 );
             }
             selector if SELECTORS.split_whitespace().any(|s| s == selector) => {
-                what = selector.to_string();
+                selected.push(selector);
             }
             other => die(&format!(
                 "unknown argument {other:?}; selectors are: {SELECTORS}"
@@ -52,22 +55,23 @@ fn main() {
         }
     }
     let study = Study::new(StudyConfig::with_insts(insts));
-    let all = what == "all";
+    let all = selected.is_empty() || selected.contains(&"all");
+    let want = |names: &[&str]| all || names.iter().any(|n| selected.contains(n));
     let mut json_figures: Vec<simcore::FigureSeries> = Vec::new();
 
-    if all || what == "table1" {
+    if want(&["table1"]) {
         println!("{}", report::render_table1());
     }
-    if all || what == "table2" {
+    if want(&["table2"]) {
         println!("{}", report::render_table2());
     }
-    if all || what == "fig1" {
+    if want(&["fig1"]) {
         print_fig1();
     }
-    if all || what == "fig2" || what == "nand_kdesign" {
+    if want(&["fig2", "nand_kdesign"]) {
         print_fig2();
     }
-    if all || what == "calibrate" || what == "cal" {
+    if want(&["calibrate", "cal"]) {
         print_calibration(&study);
     }
     for (name, l2, temp, kind) in [
@@ -81,7 +85,7 @@ fn main() {
         ("fig10", 17, 110.0, 's'),
         ("fig11", 17, 110.0, 'p'),
     ] {
-        if all || what == name {
+        if want(&[name]) {
             let fig = if kind == 's' {
                 figures::savings_figure(&study, name, l2, temp)
             } else {
@@ -92,28 +96,28 @@ fn main() {
             json_figures.push(fig);
         }
     }
-    if all || what == "fig12" || what == "fig13" || what == "table3" {
+    if want(&["fig12", "fig13", "table3"]) {
         let (fig12, fig13, table3) = figures::best_interval_figures(&study, 11, 85.0)
             .unwrap_or_else(|e| die(&format!("fig12/13: {e}")));
-        if all || what == "fig12" {
+        if want(&["fig12"]) {
             println!("=== fig12 ===\n{}", report::render_figure(&fig12));
         }
-        if all || what == "fig13" {
+        if want(&["fig13"]) {
             println!("=== fig13 ===\n{}", report::render_figure(&fig13));
         }
-        if all || what == "table3" {
+        if want(&["table3"]) {
             println!("=== table3 ===\n{}", report::render_table3(&table3));
         }
         json_figures.push(fig12);
         json_figures.push(fig13);
     }
-    if all || what == "ablations" {
+    if want(&["ablations"]) {
         print_ablations(&study);
     }
-    if all || what == "reuse" {
+    if want(&["reuse"]) {
         print_reuse(&study);
     }
-    if all || what == "thermal" {
+    if want(&["thermal"]) {
         print_thermal(&study);
     }
     if let Some(path) = json_path {

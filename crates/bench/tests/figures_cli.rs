@@ -1,5 +1,6 @@
 //! The `figures` command line: a mistyped selector or flag is an error,
-//! never a silent run that prints nothing.
+//! never a silent run that prints nothing, and every selector given is
+//! printed.
 
 use std::process::{Command, Output};
 
@@ -20,11 +21,14 @@ fn unknown_arguments_are_rejected_and_selectors_still_work() {
         assert!(stderr.contains("table1"), "lists the selectors: {stderr}");
     }
 
-    let out = figures(&["--insts", "1000", "table1"]);
+    // Every selector given is printed, not just the last.
+    let out = figures(&["--insts", "1000", "table1", "table2"]);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(!out.stdout.is_empty(), "table1 prints its table");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("Table 1."), "{stdout}");
+    assert!(stdout.contains("Table 2."), "{stdout}");
 }

@@ -22,7 +22,7 @@
 //!   figure.
 //!
 //! All timing is simulated [`units::Cycles`]; wall-clock time is banned
-//! from this crate by the `no-wallclock-in-leakage` lint rule.
+//! from this crate by the `no-wallclock` lint rule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,7 +6,7 @@
 //! [`ReferenceCache`]; the `leakage-oracle` differential suite compares
 //! the two latency vectors bitwise. All timing is simulated
 //! [`Cycles`] — wall-clock time never enters the harness (enforced by
-//! the `no-wallclock-in-leakage` lint rule).
+//! the `no-wallclock` lint rule).
 
 use cachesim::{AccessKind, AccessResult, Cache, ReferenceCache};
 use units::Cycles;

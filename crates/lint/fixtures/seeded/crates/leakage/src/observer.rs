@@ -1,4 +1,4 @@
-//! Seeded fixture for the `no-wallclock-in-leakage` rule: a harness
+//! Seeded fixture for the `no-wallclock` rule: a harness
 //! observer that times probes with the host clock instead of simulated
 //! cycles, injecting machine noise into the distinguishability scores.
 

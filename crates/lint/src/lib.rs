@@ -43,12 +43,14 @@
 //!   touches the mutex stalls for the full duration. Condvar `.wait(` is
 //!   exempt — it releases the lock while blocked, which is the sanctioned
 //!   way to wait under a guard.
-//! * **`no-wallclock-in-leakage`** — the timing-leakage harness
-//!   (`crates/leakage`) reports attacker-visible *simulated* latencies;
-//!   every number it emits must be a pure function of the seed. Any
-//!   wall-clock construct (`std::time`, `Instant::now(`, `SystemTime`)
-//!   there — test modules included — injects host noise into a security
-//!   measurement.
+//! * **`no-wallclock`** — the timing-leakage harness (`crates/leakage`)
+//!   and the simulator crates (`crates/uarch`, `crates/cachesim`,
+//!   `crates/specgen`) count *simulated* cycles; every number they emit
+//!   must be a pure function of the seed. Any wall-clock construct
+//!   (`std::time`, `Instant::now(`, `SystemTime`) there — test modules
+//!   included — injects host noise into a security measurement or puts
+//!   instrumentation inside the per-instruction loop. Timing the
+//!   simulator is the benchmark harness's job, from outside.
 //!
 //! The scanner is deliberately line-based: the codebase is rustfmt-clean,
 //! so declarations and statements land on predictable lines, and a dumb
@@ -108,10 +110,16 @@ pub const FS_BOUNDARY_CRATES: &[&str] = &["crates/runstore/"];
 pub const NO_ALLOC_FILES: &[&str] = &["crates/cachesim/src/wheel.rs"];
 
 /// Crates whose emitted numbers must be pure functions of the seed
-/// (prefix-matched): the timing-leakage harness. All timing there is
-/// simulated [`units::Cycles`]; a wall-clock read anywhere in the crate
-/// injects host noise into a security measurement.
-pub const WALLCLOCK_FREE_CRATES: &[&str] = &["crates/leakage/"];
+/// (prefix-matched): the timing-leakage harness and the simulator. All
+/// timing there is simulated [`units::Cycles`]; a wall-clock read in the
+/// harness injects host noise into a security measurement, and one in the
+/// simulator is instrumentation inside the per-instruction loop.
+pub const WALLCLOCK_FREE_CRATES: &[&str] = &[
+    "crates/leakage/",
+    "crates/uarch/",
+    "crates/cachesim/",
+    "crates/specgen/",
+];
 
 /// Wall-clock constructs forbidden in [`WALLCLOCK_FREE_CRATES`]. The
 /// bare `std::time` token also catches `use` imports and
@@ -181,8 +189,8 @@ pub enum Rule {
     NoAllocInSweep,
     /// A sleep or blocking I/O call while a lock guard is live.
     NoSleepWhileLocked,
-    /// A wall-clock construct inside the timing-leakage harness.
-    NoWallclockInLeakage,
+    /// A wall-clock construct inside the leakage harness or the simulator.
+    NoWallclock,
 }
 
 impl Rule {
@@ -198,7 +206,7 @@ impl Rule {
             Rule::FsBoundary => "fs-boundary",
             Rule::NoAllocInSweep => "no-alloc-in-sweep",
             Rule::NoSleepWhileLocked => "no-sleep-while-locked",
-            Rule::NoWallclockInLeakage => "no-wallclock-in-leakage",
+            Rule::NoWallclock => "no-wallclock",
         }
     }
 }
@@ -592,8 +600,8 @@ fn wallclock_free_scope(rel: &Path) -> bool {
         .any(|c| p.starts_with(c) || p.contains(&format!("/{c}")))
 }
 
-/// Flags every wall-clock construct in the leakage harness. Unlike the
-/// other content rules this one fires inside `#[cfg(test)]` modules
+/// Flags every wall-clock construct in [`WALLCLOCK_FREE_CRATES`]. Unlike
+/// the other content rules this one fires inside `#[cfg(test)]` modules
 /// too: a wall-clock read in a harness unit test is still host
 /// nondeterminism feeding a security measurement.
 fn check_no_wallclock(rel: &Path, lines: &[&str], out: &mut Vec<Violation>) {
@@ -603,12 +611,12 @@ fn check_no_wallclock(rel: &Path, lines: &[&str], out: &mut Vec<Violation>) {
         }
         let code = line.split("// ").next().unwrap_or(line);
         if WALLCLOCK_TOKENS.iter().any(|t| code.contains(t))
-            && !has_marker(lines, i, Rule::NoWallclockInLeakage)
+            && !has_marker(lines, i, Rule::NoWallclock)
         {
             out.push(Violation {
                 file: rel.to_path_buf(),
                 line: i + 1,
-                rule: Rule::NoWallclockInLeakage,
+                rule: Rule::NoWallclock,
                 excerpt: line.trim().to_string(),
             });
         }
@@ -984,55 +992,47 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_in_the_leakage_harness_fires() {
+    fn wallclock_in_the_harness_and_the_simulator_fires() {
         let import = "use std::time::Instant;\n";
         let v = scan_content(&rel("crates/leakage/src/observer.rs"), import);
-        assert!(
-            v.iter().any(|v| v.rule == Rule::NoWallclockInLeakage),
-            "{v:?}"
-        );
+        assert!(v.iter().any(|v| v.rule == Rule::NoWallclock), "{v:?}");
 
         let read = "fn f() {\n    let t = Instant::now();\n}\n";
-        let v = scan_content(&rel("crates/leakage/src/sweep.rs"), read);
-        assert!(
-            v.iter().any(|v| v.rule == Rule::NoWallclockInLeakage),
-            "{v:?}"
-        );
+        for file in [
+            "crates/leakage/src/sweep.rs",
+            "crates/uarch/src/core.rs",
+            "crates/cachesim/src/cache.rs",
+            "crates/specgen/src/arena.rs",
+        ] {
+            let v = scan_content(&rel(file), read);
+            assert!(
+                v.iter().any(|v| v.rule == Rule::NoWallclock),
+                "{file}: {v:?}"
+            );
+        }
 
         // Test modules are NOT exempt: seed-purity is a whole-crate
         // contract for the harness.
         let in_test = "pub fn f() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        let _ = std::time::SystemTime::now();\n    }\n}\n";
         let v = scan_content(&rel("crates/leakage/src/metrics.rs"), in_test);
-        assert!(
-            v.iter().any(|v| v.rule == Rule::NoWallclockInLeakage),
-            "{v:?}"
-        );
+        assert!(v.iter().any(|v| v.rule == Rule::NoWallclock), "{v:?}");
     }
 
     #[test]
     fn wallclock_markers_comments_and_other_crates_are_exempt() {
-        let marked = "// lint: allow(no-wallclock-in-leakage): startup banner only, never measured\nfn f() {\n    let t = Instant::now();\n}\n";
+        let marked = "// lint: allow(no-wallclock): startup banner only, never measured\nfn f() {\n    let t = Instant::now();\n}\n";
         let v = scan_content(&rel("crates/leakage/src/lib.rs"), marked);
-        assert!(
-            v.iter().all(|v| v.rule != Rule::NoWallclockInLeakage),
-            "{v:?}"
-        );
+        assert!(v.iter().all(|v| v.rule != Rule::NoWallclock), "{v:?}");
 
         // Prose mentioning the forbidden tokens is not a violation.
         let comment = "//! Wall-clock time (std::time, Instant::now()) never enters the harness.\npub fn f() {}\n";
         let v = scan_content(&rel("crates/leakage/src/lib.rs"), comment);
-        assert!(
-            v.iter().all(|v| v.rule != Rule::NoWallclockInLeakage),
-            "{v:?}"
-        );
+        assert!(v.iter().all(|v| v.rule != Rule::NoWallclock), "{v:?}");
 
         // Outside the harness, wall-clock use is governed by other rules.
         let elsewhere = "use std::time::Instant;\n";
         let v = scan_content(&rel("crates/bench/src/bin/bench_wheel.rs"), elsewhere);
-        assert!(
-            v.iter().all(|v| v.rule != Rule::NoWallclockInLeakage),
-            "{v:?}"
-        );
+        assert!(v.iter().all(|v| v.rule != Rule::NoWallclock), "{v:?}");
     }
 
     #[test]

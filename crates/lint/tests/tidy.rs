@@ -40,7 +40,7 @@ fn seeded_fixtures_trip_every_rule() {
         Rule::FsBoundary,
         Rule::NoAllocInSweep,
         Rule::NoSleepWhileLocked,
-        Rule::NoWallclockInLeakage,
+        Rule::NoWallclock,
     ] {
         assert!(
             fired.contains(&rule),

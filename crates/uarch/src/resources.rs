@@ -4,10 +4,25 @@
 //! The one-pass timing model needs to answer "when is the next cycle ≥ t
 //! with a free X?" for fetch/dispatch/issue/commit slots and for each
 //! functional-unit pool. [`SlotCalendar`] answers it for width-limited
-//! per-cycle budgets with a rolling window (issue times in an out-of-order
-//! schedule are nearly monotone, so a small ring suffices);
+//! per-cycle budgets over a ring of the last `RING` cycles;
 //! [`UnitPool`] answers it for FU pools by tracking each unit's next-free
 //! cycle.
+//!
+//! A booking returns the first cycle at or after its start with a free
+//! slot. Scanning for it costs one step per full cycle, and the fetch
+//! calendar meets long runs of them: while the branch predictor is right,
+//! `fetch_ready` stays put and every fetch books at that one start, so
+//! the n-th booking would walk n / width full cycles. The calendar
+//! therefore remembers the range `[full_lo, full_hi)` of full cycles the
+//! last booking found, and a booking starting inside it resumes at
+//! `full_hi`. The invariant: every cycle of the range at or above `base`
+//! holds `width` bookings. It holds because a cycle's count only grows
+//! until a slide drops the cycle below `base`, and no booking starts
+//! below `base`. So the resumed booking returns exactly the cycle the
+//! scan would. When starts stay put or move forward, as `fetch_ready`
+//! does, no full cycle is walked twice, so a booking costs amortised
+//! O(1). The tests keep the scan as `ScanCalendar`, the oracle the hinted
+//! calendar must match.
 
 use serde::{Deserialize, Serialize};
 
@@ -21,10 +36,19 @@ pub struct SlotCalendar {
     /// used[i] = slots consumed in cycle `base + i` (ring indexed by cycle).
     used: Vec<u8>,
     base: u64,
+    /// The full cycles `[full_lo, full_hi)` the last booking found (see the
+    /// module doc for why they stay full).
+    full_lo: u64,
+    full_hi: u64,
 }
 
-/// Ring capacity: cycles older than this are folded away. 8 K cycles is far
-/// beyond any realistic issue-time spread inside an 80-entry window.
+/// Ring capacity. A booking `RING` or more cycles past `base` slides the
+/// window forward and forgets the oldest cycles; a later booking below
+/// `base` starts at `base`. Dispatch, issue and commit bookings start near
+/// their calendar's frontier, because the 80-entry window bounds how far
+/// apart in-flight instructions are. The fetch calendar is not held back
+/// by the window: with `fetch_ready` frozen, its frontier runs up to a
+/// full ring ahead of it, over cycles that are all full.
 const RING: usize = 8192;
 
 impl SlotCalendar {
@@ -39,6 +63,8 @@ impl SlotCalendar {
             width,
             used: vec![0; RING],
             base: 0,
+            full_lo: 0,
+            full_hi: 0,
         }
     }
 
@@ -61,12 +87,25 @@ impl SlotCalendar {
 
     /// Books one slot at the earliest cycle ≥ `earliest`, returning it.
     pub fn book(&mut self, earliest: u64) -> u64 {
-        let mut cycle = earliest.max(self.base);
+        let start = earliest.max(self.base);
+        let resumed = (self.full_lo..self.full_hi).contains(&start);
+        let mut cycle = if resumed { self.full_hi } else { start };
         loop {
             self.slide_to(cycle);
             let idx = (cycle % RING as u64) as usize;
             if self.used[idx] < self.width {
                 self.used[idx] += 1;
+                // Every cycle before `cycle` back to `lo` is full; `cycle`
+                // joins them once this booking fills it.
+                let lo = if resumed { self.full_lo } else { start };
+                #[cfg(not(mutant = "calendar-hint-bug"))]
+                let hi = cycle + u64::from(self.used[idx] == self.width);
+                #[cfg(mutant = "calendar-hint-bug")]
+                let hi = cycle + 1;
+                if hi > lo {
+                    self.full_lo = lo;
+                    self.full_hi = hi;
+                }
                 return cycle;
             }
             cycle += 1;
@@ -155,6 +194,132 @@ impl FuComplement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The calendar without the full-range hint: every booking scans
+    /// forward from its start. The oracle [`SlotCalendar`] must match.
+    struct ScanCalendar {
+        width: u8,
+        used: Vec<u8>,
+        base: u64,
+    }
+
+    impl ScanCalendar {
+        fn new(width: u8) -> Self {
+            ScanCalendar {
+                width,
+                used: vec![0; RING],
+                base: 0,
+            }
+        }
+
+        fn slide_to(&mut self, cycle: u64) {
+            if cycle < self.base + RING as u64 {
+                return;
+            }
+            let new_base = cycle + 1 - RING as u64;
+            if new_base >= self.base + RING as u64 {
+                self.used.iter_mut().for_each(|u| *u = 0);
+            } else {
+                for c in self.base..new_base {
+                    let idx = (c % RING as u64) as usize;
+                    self.used[idx] = 0;
+                }
+            }
+            self.base = new_base;
+        }
+
+        fn book(&mut self, earliest: u64) -> u64 {
+            let mut cycle = earliest.max(self.base);
+            loop {
+                self.slide_to(cycle);
+                let idx = (cycle % RING as u64) as usize;
+                if self.used[idx] < self.width {
+                    self.used[idx] += 1;
+                    return cycle;
+                }
+                cycle += 1;
+            }
+        }
+    }
+
+    /// How one run of bookings picks its start relative to an anchor that
+    /// only moves forward.
+    #[derive(Debug, Clone, Copy)]
+    enum Start {
+        /// At the anchor: the frozen `fetch_ready` of a well-predicted run.
+        Frozen,
+        /// Up to 64 cycles above the anchor.
+        Jitter(u64),
+        /// The anchor steps a few cycles forward first.
+        Forward(u64),
+        /// The anchor jumps one to four rings forward first.
+        Jump(u64),
+        /// Up to two rings below the anchor.
+        Below(u64),
+    }
+
+    fn start() -> impl Strategy<Value = Start> {
+        let ring = RING as u64;
+        prop_oneof![
+            Just(Start::Frozen),
+            (0u64..65).prop_map(Start::Jitter),
+            (1u64..65).prop_map(Start::Forward),
+            // Half the jumps land within 512 cycles of a ring, so the
+            // slide keeps part of the last full range above `base`.
+            prop_oneof![ring..ring + 512, ring..4 * ring + 1].prop_map(Start::Jump),
+            (1..2 * ring + 1).prop_map(Start::Below),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hinted_calendar_matches_the_scan(
+            width in 1u8..5,
+            anchor0 in 0u64..4 * RING as u64,
+            runs in proptest::collection::vec((start(), 1usize..65), 1..64),
+        ) {
+            let mut hinted = SlotCalendar::new(width);
+            let mut scan = ScanCalendar::new(width);
+            let mut anchor = anchor0;
+            for (n, &(kind, count)) in runs.iter().enumerate() {
+                let at = match kind {
+                    Start::Frozen => anchor,
+                    Start::Jitter(d) => anchor + d,
+                    Start::Forward(d) | Start::Jump(d) => {
+                        anchor += d;
+                        anchor
+                    }
+                    Start::Below(d) => anchor.saturating_sub(d),
+                };
+                for i in 0..count {
+                    prop_assert_eq!(
+                        hinted.book(at),
+                        scan.book(at),
+                        "run {} ({:?} at {}), booking {}, width {}",
+                        n, kind, at, i, width
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frozen_start_fills_cycles_in_order_past_the_ring() {
+        for width in 1u8..5 {
+            let mut cal = SlotCalendar::new(width);
+            let start = 100;
+            for i in 0..3 * RING as u64 * u64::from(width) {
+                assert_eq!(
+                    cal.book(start),
+                    start + i / u64::from(width),
+                    "booking {i}, width {width}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn calendar_respects_width() {
