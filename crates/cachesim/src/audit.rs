@@ -8,9 +8,7 @@
 //! invariants and reports every violation it finds.
 //!
 //! The checks are cheap — O(1) over a finished [`CacheStats`] — and run
-//! after every simulation when the `audit` cargo feature is enabled (it
-//! is on by default, so tests and CI always enforce the laws; production
-//! embedders can opt out with `--no-default-features`).
+//! after every simulation, in every build.
 //!
 //! ## Enforced invariants
 //!

@@ -1031,7 +1031,6 @@ impl Cache {
     ///
     /// Returns the [`audit::AuditReport`](crate::audit::AuditReport) listing
     /// every violated law.
-    #[cfg(feature = "audit")]
     pub fn audit(&self) -> Result<(), crate::audit::AuditReport> {
         let mut report = crate::audit::AuditReport::new();
         report.absorb(
@@ -1387,7 +1386,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn audit_passes_on_real_workloads() {
         // The audit net itself: any dropped or double-counted event in the

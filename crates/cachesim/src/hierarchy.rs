@@ -217,7 +217,6 @@ impl Hierarchy {
     ///
     /// Returns the full [`crate::audit::AuditReport`] if any law is
     /// violated.
-    #[cfg(feature = "audit")]
     pub fn audit(&self) -> Result<(), crate::audit::AuditReport> {
         let mut report = crate::audit::AuditReport::new();
         for (name, cache) in [("l1i", &self.l1i), ("l1d", &self.l1d), ("l2", &self.l2)] {
@@ -334,11 +333,9 @@ mod tests {
         assert_eq!(drained, 1, "the trailing writeback must be handed over");
         assert_eq!(h.decay_writebacks_drained(), 1);
         assert_eq!(h.finalize(2000), 0, "finalize is idempotent");
-        #[cfg(feature = "audit")]
         h.audit().expect("drained hierarchy passes the audit");
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn undrained_hierarchy_fails_audit() {
         // Ticking past the decay point without a draining call leaves the

@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "audit")]
 pub mod audit;
 pub mod cache;
 pub mod config;

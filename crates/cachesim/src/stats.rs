@@ -4,9 +4,9 @@
 //! The counters obey conservation laws the energy comparison depends on —
 //! every access lands in exactly one of `hits`/`slow_hits`/`misses()`,
 //! the [`ModeCycles`] buckets partition every line-cycle after
-//! [`crate::Cache::finalize`], and `wakes` never exceeds `sleeps`. With
-//! the `audit` feature (default on) these laws are enforced after every
-//! simulation; see the `audit` module for the full list.
+//! [`crate::Cache::finalize`], and `wakes` never exceeds `sleeps`. These
+//! laws are enforced after every simulation; see the `audit` module for
+//! the full list.
 
 use serde::{Deserialize, Serialize};
 use units::{Cycles, PerCycle};

@@ -112,11 +112,8 @@ fn run_both(decay: DecayConfig, ops: &[Op]) -> (CacheStats, CacheStats) {
     naive.finalize(end);
     fast.finalize(end);
     assert_eq!(naive.finalized_at(), fast.finalized_at());
-    #[cfg(feature = "audit")]
-    {
-        naive.audit().expect("naive driver conserves");
-        fast.audit().expect("fast path conserves");
-    }
+    naive.audit().expect("naive driver conserves");
+    fast.audit().expect("fast path conserves");
     (*naive.stats(), *fast.stats())
 }
 

@@ -196,7 +196,6 @@ proptest! {
             .expect("decay stays configured")
             .interval_cycles;
         prop_assert!(floor >= MIN_DECAY_INTERVAL_CYCLES, "switches clamp to the floor");
-        #[cfg(feature = "audit")]
         if let Err(report) = cache.audit() {
             prop_assert!(false, "conservation audit failed: {report}");
         }

@@ -158,7 +158,6 @@ fn run_both(decay: DecayConfig, ops: &[Op]) -> (CacheStats, CacheStats) {
     wheel.finalize(end);
     naive.finalize(end);
     assert_eq!(wheel.finalized_at(), naive.finalized_at());
-    #[cfg(feature = "audit")]
     wheel
         .audit()
         .expect("wheel cache conserves and stays coherent");
@@ -257,7 +256,6 @@ fn touched_line_keeps_its_fresh_decay_deadline() {
 /// schedule-coherence check in [`Cache::audit`] flags the stale entry
 /// while it is still pending. Under `--cfg mutant="wheel-bug"` this test
 /// MUST fail (with a `DecayScheduleDrift` violation).
-#[cfg(feature = "audit")]
 #[test]
 fn audit_flags_a_stale_decay_schedule() {
     let decay = decay_cfg(false, false, true, 256);

@@ -52,7 +52,8 @@ pub struct AdaptiveRun {
 ///
 /// # Errors
 ///
-/// Returns [`StudyError`] if the hierarchy cannot be built.
+/// Returns [`StudyError::EmptyAdaptiveWindow`] if `window_insts` is 0,
+/// or another [`StudyError`] if the hierarchy cannot be built.
 pub fn run_adaptive(
     benchmark: Benchmark,
     kind: TechniqueKind,
@@ -61,6 +62,9 @@ pub fn run_adaptive(
     l2_latency: u32,
     window_insts: u64,
 ) -> Result<AdaptiveRun, StudyError> {
+    if window_insts == 0 {
+        return Err(StudyError::EmptyAdaptiveWindow);
+    }
     let initial = 4096;
     let technique = Technique {
         tags_decay: false,
@@ -106,7 +110,6 @@ pub fn run_adaptive(
         core.hierarchy_mut().set_l1d_decay_interval(next);
         interval_trace.push(next);
     }
-    #[cfg(feature = "audit")]
     core.audit()
         .map_err(|report| StudyError::AuditFailed(report.to_string()))?;
     let stats = *core.stats();
@@ -235,6 +238,20 @@ mod tests {
         // The controller must actually move (gcc at 4096 is not exactly at
         // the setpoint).
         assert!(run.interval_trace.iter().any(|&i| i != 4096));
+    }
+
+    #[test]
+    fn zero_instruction_window_is_rejected() {
+        let err = run_adaptive(
+            Benchmark::Gzip,
+            TechniqueKind::GatedVss,
+            Controller::AdaptiveModeControl,
+            &cfg(),
+            11,
+            0,
+        )
+        .expect_err("a window of 0 instructions can never advance");
+        assert!(matches!(err, StudyError::EmptyAdaptiveWindow), "got {err}");
     }
 
     #[test]

@@ -60,9 +60,12 @@ pub enum StudyError {
     Cache(cachesim::ConfigError),
     /// A best-interval search was asked to choose from zero intervals.
     EmptyIntervalList,
+    /// A closed-loop adaptive run was asked to observe zero-instruction
+    /// windows, so it could never advance.
+    EmptyAdaptiveWindow,
     /// A post-run accounting audit found violated conservation laws (the
     /// formatted [`cachesim::audit::AuditReport`], or a pricing sanity
-    /// failure). Only produced with the `audit` feature (default on).
+    /// failure).
     AuditFailed(String),
 }
 
@@ -73,6 +76,9 @@ impl fmt::Display for StudyError {
             StudyError::Cache(e) => write!(f, "cache config error: {e}"),
             StudyError::EmptyIntervalList => {
                 write!(f, "best-interval search needs a non-empty interval list")
+            }
+            StudyError::EmptyAdaptiveWindow => {
+                write!(f, "adaptive run needs a window of at least one instruction")
             }
             StudyError::AuditFailed(report) => {
                 write!(f, "accounting audit failed: {report}")
@@ -86,7 +92,7 @@ impl Error for StudyError {
         match self {
             StudyError::Model(e) => Some(e),
             StudyError::Cache(e) => Some(e),
-            StudyError::EmptyIntervalList => None,
+            StudyError::EmptyIntervalList | StudyError::EmptyAdaptiveWindow => None,
             StudyError::AuditFailed(_) => None,
         }
     }
@@ -253,7 +259,6 @@ impl StudyCtx {
         let env = self.cfg.environment(temperature_c)?;
         let p_base = pricing::price(base, &Technique::none(), &env, &self.arrays)?;
         let p_tech = pricing::price(tech, technique, &env, &self.arrays)?;
-        #[cfg(feature = "audit")]
         for (name, p) in [("baseline", &p_base), ("technique", &p_tech)] {
             pricing::check_priced(p)
                 .map_err(|e| StudyError::AuditFailed(format!("priced {name} run: {e}")))?;
@@ -491,11 +496,6 @@ impl RunCache {
             coalesced: self.coalesced.load(Ordering::Relaxed),
             executions: self.executions.load(Ordering::Relaxed),
         }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Number of finished runs currently memoized.
@@ -757,7 +757,6 @@ impl Study {
         // Fresh runs were audited inside execute(); re-checking recalled
         // runs here keeps the laws enforced across the cache boundary too
         // (a corrupted or stale memo can't silently feed the pricing).
-        #[cfg(feature = "audit")]
         audit_raw_run(&raw, technique.decay_config().is_some())?;
         Ok(raw)
     }
@@ -806,16 +805,6 @@ impl Study {
     ///
     /// Returns the first [`StudyError`] any run or pricing produced.
     pub fn compare_many(&self, requests: &[CompareRequest]) -> Result<Vec<RunResult>, StudyError> {
-        self.compare_many_with(self.threads, requests)
-    }
-
-    /// [`Study::compare_many`] with an explicit worker count for this
-    /// call only (the cache is still shared with the rest of the study).
-    fn compare_many_with(
-        &self,
-        threads: usize,
-        requests: &[CompareRequest],
-    ) -> Result<Vec<RunResult>, StudyError> {
         let mut specs: Vec<RunSpec> = Vec::with_capacity(requests.len() * 2);
         let mut seen = std::collections::HashSet::new();
         for r in requests {
@@ -832,7 +821,7 @@ impl Study {
                 }
             }
         }
-        self.run_batch(threads, &specs)?;
+        self.run_batch(&specs)?;
         requests
             .iter()
             .map(|r| self.compare(r.benchmark, r.technique, r.l2_latency, r.temperature_c))
@@ -843,8 +832,8 @@ impl Study {
     /// [`crate::parallel::map_ordered`] (the workspace's single
     /// thread-spawning primitive); the results are discarded here and
     /// recalled from the cache by the pricing pass.
-    fn run_batch(&self, threads: usize, specs: &[RunSpec]) -> Result<(), StudyError> {
-        crate::parallel::map_ordered(threads, specs, |spec| {
+    fn run_batch(&self, specs: &[RunSpec]) -> Result<(), StudyError> {
+        crate::parallel::map_ordered(self.threads, specs, |spec| {
             self.cache
                 .get_or_run(spec.key, || {
                     self.ctx
@@ -880,33 +869,6 @@ impl Study {
             })
             .collect();
         self.compare_many(&requests)
-    }
-
-    /// [`Study::interval_sweep`] with an explicit worker count for this
-    /// call only; the run cache is shared with the rest of the study.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StudyError`] on invalid operating points or geometry.
-    pub fn interval_sweep_par(
-        &self,
-        benchmark: Benchmark,
-        kind: TechniqueKind,
-        l2_latency: u32,
-        temperature_c: f64,
-        intervals: &[u64],
-        threads: usize,
-    ) -> Result<Vec<RunResult>, StudyError> {
-        let requests: Vec<CompareRequest> = intervals
-            .iter()
-            .map(|&interval| CompareRequest {
-                benchmark,
-                technique: technique_of(kind, interval),
-                l2_latency,
-                temperature_c,
-            })
-            .collect();
-        self.compare_many_with(threads.max(1), &requests)
     }
 
     /// Finds the best (max net savings) interval for one benchmark and
@@ -973,7 +935,6 @@ pub fn execute(
     // benchmark consumes the identical trace, so generate it once.
     let mut trace = specgen::replay_trace(benchmark, cfg.seed, cfg.insts);
     let stats = core.run(&mut trace, cfg.insts);
-    #[cfg(feature = "audit")]
     core.audit()
         .map_err(|report| StudyError::AuditFailed(report.to_string()))?;
     Ok(RawRun {
@@ -992,7 +953,6 @@ pub fn execute(
 /// # Errors
 ///
 /// Returns [`StudyError::AuditFailed`] listing every violated law.
-#[cfg(feature = "audit")]
 pub fn audit_raw_run(raw: &RawRun, has_decay: bool) -> Result<(), StudyError> {
     let num_lines = cachesim::CacheConfig::l1_64k_2way().num_lines() as u64;
     let mut report = cachesim::audit::AuditReport::new();

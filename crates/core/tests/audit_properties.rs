@@ -3,7 +3,6 @@
 //! operating points, and proof that corrupted runs actually trip
 //! [`simcore::StudyError::AuditFailed`] rather than flowing silently into
 //! the figures.
-#![cfg(feature = "audit")]
 
 use cachesim::{CacheStats, ModeCycles};
 use hotleakage::{Environment, TechNode};

@@ -55,9 +55,9 @@
 //! identical FNV-1a read-back verification as local ones, so a poisoned
 //! peer can only cause a recompute, never a wrong answer.
 //!
-//! With the `audit` feature (default on) every run the server executes is
-//! conservation-checked by the engine's audit layer before it is priced,
-//! exactly as in direct [`simcore::Study`] use.
+//! Every run the server executes is conservation-checked by the engine's
+//! audit layer before it is priced, exactly as in direct
+//! [`simcore::Study`] use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

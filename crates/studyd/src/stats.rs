@@ -148,7 +148,6 @@ impl ServerStats {
             completed: self.completed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
-            audit_enabled: cfg!(feature = "audit"),
             cache,
             store: store.map(StoreReport::from),
             fleet: fleet.map(FleetReport::from),
@@ -191,8 +190,6 @@ pub struct StatsReport {
     pub failed: u64,
     /// Jobs skipped as cancelled or undeliverable, ever.
     pub cancelled: u64,
-    /// Whether conservation audits run on every served run.
-    pub audit_enabled: bool,
     /// Run-cache hit/miss/coalesce counters (shared across requests).
     pub cache: RunCacheCounters,
     /// Disk-store tier counters; `None` when the server runs without a

@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use leakctl::TechniqueKind;
 use serde::Serialize;
+use simcore::adaptive::Controller;
 use simcore::{Study, StudyConfig, StudyRequest};
 use specgen::Benchmark;
 use studyd::{Server, ServerConfig, SubmitError, TcpClient, WaitError, WireReply};
@@ -155,6 +156,39 @@ fn malformed_lines_get_errors_and_the_connection_survives() {
 
     let report = server.shutdown();
     assert_eq!(report.protocol_errors, 6, "{report:?}");
+    assert_eq!(report.completed, 1);
+}
+
+#[test]
+fn zero_instruction_adaptive_window_fails_and_the_connection_survives() {
+    // A window of 0 instructions would never advance the closed loop; the
+    // engine must refuse it instead of holding a worker forever.
+    let server = start_server(1, 8);
+    let mut client = TcpClient::connect(&server.local_addr().to_string()).expect("connects");
+
+    let id = client
+        .send_study(&StudyRequest::Adaptive {
+            benchmark: Benchmark::Gzip,
+            technique: TechniqueKind::GatedVss,
+            controller: Controller::AdaptiveModeControl,
+            window_insts: 0,
+            l2_latency: 11,
+        })
+        .expect("sends");
+    let (got_id, reply) = client.read_reply().expect("server answers");
+    assert_eq!(got_id, id, "the error carries the request's id");
+    match reply {
+        WireReply::Err(msg) => assert!(msg.contains("window"), "{msg}"),
+        other => panic!("expected err, got {other:?}"),
+    }
+
+    let value = client
+        .request_value(&compare_request(1024))
+        .expect("still serves");
+    assert!(matches!(value, serde::Value::Object(_)));
+
+    let report = server.shutdown();
+    assert_eq!(report.failed, 1, "{report:?}");
     assert_eq!(report.completed, 1);
 }
 
@@ -358,10 +392,6 @@ fn stats_are_served_inline_and_carry_cache_counters() {
     };
     assert_eq!(get("completed"), serde::Value::UInt(2));
     assert_eq!(get("queue_depth"), serde::Value::UInt(0));
-    assert_eq!(
-        get("audit_enabled"),
-        serde::Value::Bool(cfg!(feature = "audit"))
-    );
     match get("cache") {
         serde::Value::Object(cache) => {
             let hits = cache

@@ -155,7 +155,6 @@ impl Core {
     /// # Errors
     ///
     /// Returns the full audit report if any conservation law is violated.
-    #[cfg(feature = "audit")]
     pub fn audit(&self) -> Result<(), cachesim::audit::AuditReport> {
         self.hierarchy.audit()
     }
@@ -533,7 +532,6 @@ mod tests {
             stats.l2_accesses >= h.l1d().stats().decay_writebacks,
             "drained writebacks are charged as L2 traffic"
         );
-        #[cfg(feature = "audit")]
         core.audit().expect("post-run accounting conserves");
     }
 

@@ -1,9 +1,8 @@
-//! End-to-end audit enforcement: with the `audit` feature (default on),
-//! every simulation path — direct execution, the memoizing `RunCache`,
-//! the parallel batch engine, and the closed-loop adaptive runs — runs
-//! under the conservation laws of `cachesim::audit`, and the cached and
-//! fresh paths stay bitwise identical.
-#![cfg(feature = "audit")]
+//! End-to-end audit enforcement: every simulation path — direct
+//! execution, the memoizing `RunCache`, the parallel batch engine, and
+//! the closed-loop adaptive runs — runs under the conservation laws of
+//! `cachesim::audit`, and the cached and fresh paths stay bitwise
+//! identical.
 
 use leakctl::{Technique, TechniqueKind};
 use simcore::adaptive::{run_adaptive, Controller};

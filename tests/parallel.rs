@@ -70,27 +70,18 @@ fn compare_many_equals_per_request_compare() {
 #[test]
 fn interval_sweep_par_matches_sequential_sweep() {
     let intervals = [1024u64, 4096, 16384];
-    let s = study(1);
-    let seq = s
-        .interval_sweep(
-            Benchmark::Gzip,
-            TechniqueKind::Drowsy,
-            11,
-            110.0,
-            &intervals,
-        )
-        .expect("sequential sweep");
-    let par = study(4)
-        .interval_sweep_par(
-            Benchmark::Gzip,
-            TechniqueKind::Drowsy,
-            11,
-            110.0,
-            &intervals,
-            4,
-        )
-        .expect("parallel sweep");
-    assert_eq!(seq, par);
+    let sweep = |threads| {
+        study(threads)
+            .interval_sweep(
+                Benchmark::Gzip,
+                TechniqueKind::Drowsy,
+                11,
+                110.0,
+                &intervals,
+            )
+            .expect("sweep")
+    };
+    assert_eq!(sweep(1), sweep(4));
 }
 
 #[test]
