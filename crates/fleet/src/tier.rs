@@ -10,14 +10,15 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use runstore::{verify_record, RecordId};
+use serde::Serialize;
 use simcore::RemoteTier;
 
 use crate::client::PeerClient;
 
 /// A point-in-time snapshot of fleet-tier traffic. Counters are relaxed
 /// atomics: approximate while recalls are in flight, exact once the
-/// tier is quiescent.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// tier is quiescent. `studyd` serializes it into its `stats` reply.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct FleetCounters {
     /// Recalls answered by some peer with a verified record.
     pub hits: u64,

@@ -1,170 +1,15 @@
-//! Clients: the in-process [`Client`] (same queue, same backpressure, no
-//! socket) and the blocking [`TcpClient`] used by tests and the load
-//! generator.
+//! The blocking line-protocol [`TcpClient`], used by tests and
+//! benchmarks to reach a running [`crate::Server`].
 
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::Ordering;
-
-// The cancellation flag is shared with server::Job, so it must be the
-// same type the server compiles against under `model-check`.
-#[cfg(feature = "model-check")]
-use interleave::sync::atomic::AtomicBool;
-#[cfg(not(feature = "model-check"))]
-use std::sync::atomic::AtomicBool;
-use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
 use serde::Value;
-use simcore::{StudyRequest, StudyResponse};
+use simcore::StudyRequest;
 
-use crate::backoff::Backoff;
 use crate::protocol::{self, WireReply};
-use crate::queue::PushError;
-use crate::server::{Job, Reply, Shared};
-use crate::stats::StatsReport;
-
-/// Why a submission was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The job queue is full; retry after
-    /// [`protocol::RETRY_AFTER_MS`](crate::RETRY_AFTER_MS) ms.
-    Busy {
-        /// Queue depth observed at rejection time.
-        queue_depth: usize,
-    },
-    /// The server is shutting down.
-    ShuttingDown,
-}
-
-/// Why waiting on a [`Pending`] did not produce a response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WaitError {
-    /// The engine failed the request (rendered
-    /// [`simcore::StudyError`]).
-    Failed(String),
-    /// The timeout elapsed first. The job may still complete later;
-    /// call [`Pending::wait`] again or [`Pending::cancel`].
-    TimedOut,
-    /// The server dropped the job without answering (shutdown race or a
-    /// seeded lost-reply bug).
-    Disconnected,
-}
-
-/// A submitted, not-yet-answered request.
-pub struct Pending {
-    rx: mpsc::Receiver<Result<StudyResponse, String>>,
-    cancelled: Arc<AtomicBool>,
-}
-
-impl Pending {
-    /// Blocks until the response arrives or `timeout` elapses.
-    ///
-    /// # Errors
-    ///
-    /// See [`WaitError`].
-    pub fn wait(&self, timeout: Duration) -> Result<StudyResponse, WaitError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(Ok(response)) => Ok(response),
-            Ok(Err(message)) => Err(WaitError::Failed(message)),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(WaitError::TimedOut),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(WaitError::Disconnected),
-        }
-    }
-
-    /// Marks the job cancelled. A worker that has not yet started it
-    /// will skip it; one already serving it finishes (and the response
-    /// is simply dropped here).
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
-    }
-}
-
-/// An in-process handle to a running [`crate::Server`]: submissions go
-/// through the same bounded queue and worker pool as TCP requests, so
-/// backpressure and coalescing behave identically.
-pub struct Client {
-    shared: Arc<Shared>,
-}
-
-impl Client {
-    pub(crate) fn new(shared: Arc<Shared>) -> Self {
-        Client { shared }
-    }
-
-    /// Submits one request without blocking.
-    ///
-    /// # Errors
-    ///
-    /// See [`SubmitError`].
-    pub fn submit(&self, request: StudyRequest) -> Result<Pending, SubmitError> {
-        let (tx, rx) = mpsc::channel();
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let job = Job {
-            kind: request.kind(),
-            request,
-            reply: Reply::InProcess {
-                tx,
-                cancelled: Arc::clone(&cancelled),
-            },
-        };
-        match self.shared.submit(job) {
-            Ok(()) => Ok(Pending { rx, cancelled }),
-            Err(PushError::Full { depth }) => Err(SubmitError::Busy { queue_depth: depth }),
-            Err(PushError::Closed) => Err(SubmitError::ShuttingDown),
-        }
-    }
-
-    /// Submits and waits, retrying on backpressure until `timeout` is
-    /// spent. Busy retries sleep a decorrelated-jitter delay (see
-    /// [`Backoff`]) capped at [`protocol::RETRY_AFTER_MS`], and every
-    /// sleep is clamped to the remaining budget — the call never runs
-    /// past `timeout` by more than scheduler noise.
-    ///
-    /// # Errors
-    ///
-    /// [`WaitError::TimedOut`] if the budget runs out (also while
-    /// busy-retrying), otherwise as [`Pending::wait`].
-    pub fn request(
-        &self,
-        request: &StudyRequest,
-        timeout: Duration,
-    ) -> Result<StudyResponse, WaitError> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut backoff = Backoff::new();
-        loop {
-            match self.submit(request.clone()) {
-                Ok(pending) => {
-                    let now = std::time::Instant::now();
-                    let left = deadline.saturating_duration_since(now);
-                    return pending.wait(left);
-                }
-                Err(SubmitError::Busy { .. }) => {
-                    let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-                    if remaining.is_zero() {
-                        return Err(WaitError::TimedOut);
-                    }
-                    // Clamp to the remaining budget: a caller 10 ms from
-                    // its deadline must not sleep a full retry interval.
-                    let delay = Duration::from_millis(backoff.next_delay(protocol::RETRY_AFTER_MS));
-                    thread::sleep(delay.min(remaining));
-                    if std::time::Instant::now() >= deadline {
-                        // The budget is gone; don't enqueue doomed work.
-                        return Err(WaitError::TimedOut);
-                    }
-                }
-                Err(SubmitError::ShuttingDown) => return Err(WaitError::Disconnected),
-            }
-        }
-    }
-
-    /// A live observability snapshot.
-    pub fn stats(&self) -> StatsReport {
-        self.shared.report()
-    }
-}
 
 /// Default read timeout for [`TcpClient`] connections. Long enough for a
 /// full figure request on a loaded host, short enough that a lost
@@ -253,16 +98,14 @@ impl TcpClient {
         Ok(id)
     }
 
-    /// Sends `request` and blocks for its `ok` payload, transparently
-    /// retrying on `busy` after a decorrelated-jitter delay capped at
-    /// the server-suggested retry-after.
+    /// Sends `request` and blocks for its `ok` payload, resending under
+    /// a fresh id after each `busy` reply's `retry_after_ms`.
     ///
     /// # Errors
     ///
     /// [`io::ErrorKind::Other`] wrapping an `err` response or an
     /// id/shape mismatch, otherwise the socket error.
     pub fn request_value(&mut self, request: &StudyRequest) -> io::Result<Value> {
-        let mut backoff = Backoff::new();
         loop {
             let id = self.send_study(request)?;
             let (got_id, reply) = self.read_reply()?;
@@ -274,7 +117,7 @@ impl TcpClient {
             match reply {
                 WireReply::Ok(value) => return Ok(value),
                 WireReply::Busy { retry_after_ms, .. } => {
-                    thread::sleep(Duration::from_millis(backoff.next_delay(retry_after_ms)));
+                    thread::sleep(Duration::from_millis(retry_after_ms));
                 }
                 WireReply::Err(message) => return Err(io::Error::other(message)),
                 WireReply::Stats(_) => {
@@ -282,61 +125,6 @@ impl TcpClient {
                 }
             }
         }
-    }
-
-    /// Sends every request before reading a single reply, then matches
-    /// replies back to outstanding ids — the connection's queueing and
-    /// service latencies overlap across the whole batch instead of
-    /// accumulating one round-trip per request. Replies may arrive in
-    /// any order (workers finish out of order); results are returned in
-    /// `requests` order. `busy` rejections are retried under a fresh id
-    /// after a decorrelated-jitter delay capped at the server-suggested
-    /// retry-after.
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::Other`] wrapping an `err` response, a reply id
-    /// matching no outstanding request, or a `stats` reply; otherwise
-    /// the socket error. On error the connection state is unspecified
-    /// (late replies may still be in flight) — reconnect rather than
-    /// reuse.
-    pub fn request_pipelined(&mut self, requests: &[StudyRequest]) -> io::Result<Vec<Value>> {
-        let mut results: Vec<Option<Value>> = Vec::new();
-        results.resize_with(requests.len(), || None);
-        // id -> index into `requests` for every reply not yet received.
-        let mut outstanding: HashMap<u64, usize> = HashMap::with_capacity(requests.len());
-        for (index, request) in requests.iter().enumerate() {
-            let id = self.send_study(request)?;
-            outstanding.insert(id, index);
-        }
-        let mut backoff = Backoff::new();
-        while !outstanding.is_empty() {
-            let (got_id, reply) = self.read_reply()?;
-            let Some(index) = outstanding.remove(&got_id) else {
-                return Err(io::Error::other(format!(
-                    "response id {got_id} matches no outstanding request"
-                )));
-            };
-            match reply {
-                WireReply::Ok(value) => results[index] = Some(value),
-                WireReply::Busy { retry_after_ms, .. } => {
-                    thread::sleep(Duration::from_millis(backoff.next_delay(retry_after_ms)));
-                    let id = self.send_study(&requests[index])?;
-                    outstanding.insert(id, index);
-                }
-                WireReply::Err(message) => return Err(io::Error::other(message)),
-                WireReply::Stats(_) => {
-                    return Err(io::Error::other("stats response to a study request"))
-                }
-            }
-        }
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(index, slot)| {
-                slot.ok_or_else(|| io::Error::other(format!("request {index} never answered")))
-            })
-            .collect()
     }
 
     /// Requests a stats report and returns its raw value.

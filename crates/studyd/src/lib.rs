@@ -2,40 +2,36 @@
 //!
 //! A dependency-free (std-only, plus the workspace shims) daemon that
 //! accepts study requests — `compare`, `interval_sweep`, `adaptive`,
-//! `figure` — over a line-delimited JSON-over-TCP protocol, plus an
-//! in-process [`Client`] API, and executes them against one shared
-//! [`simcore::Study`]. Because every request funnels into the same
-//! [`simcore::RunCache`], concurrent clients asking overlapping questions
-//! coalesce their timing runs instead of duplicating them, and identical
-//! requests always produce bitwise-identical responses.
+//! `figure` — over a line-delimited JSON-over-TCP protocol and executes
+//! them against one shared [`simcore::Study`]. Because every request
+//! funnels into the same [`simcore::RunCache`], concurrent clients asking
+//! overlapping questions coalesce their timing runs instead of
+//! duplicating them, and identical requests always produce
+//! bitwise-identical responses.
 //!
 //! ## Architecture
 //!
 //! ```text
-//! TCP clients ──┐                        ┌── worker ──┐
-//!   (1 thread   ├─> bounded JobQueue ──> ├── worker ──┼─> Study::serve
-//!    per conn)  │    (backpressure:      └── worker ──┘     │
-//! in-process ───┘     busy + retry)                    shared RunCache
-//!   Client                                             (hit/coalesce)
+//! TCP clients ──> bounded JobQueue ──> ┌── worker ──┐
+//!   (1 thread     (backpressure:       ├── worker ──┼─> Study::serve
+//!    per conn)     busy + retry)       └── worker ──┘       │
+//!                                                    shared RunCache
+//!                                                    (hit/coalesce)
 //! ```
 //!
 //! * [`protocol`] — the wire grammar: one JSON document per LF-terminated
 //!   line, parsed into [`simcore::StudyRequest`] via its own serialization
-//!   shape; oversized and malformed lines are rejected without panicking.
+//!   shape; oversized and malformed lines are rejected without panicking,
+//!   and a line is cut off at [`MAX_LINE_BYTES`] while it is being read.
 //! * [`queue`] — a bounded Condvar job queue. Full queue ⇒ the client
 //!   gets a `busy` response naming a retry delay, never silent loss.
 //! * [`server`] — the accept loop, one reader thread per connection, and
 //!   the worker pool (driven through [`simcore::parallel::map_ordered`],
 //!   the workspace's one thread-fanout primitive). Shutdown drains every
 //!   queued job before returning.
-//! * [`client`] — the in-process [`Client`] (no socket, same queue and
-//!   backpressure) and the blocking [`TcpClient`] used by tests and the
-//!   load generator. [`TcpClient::request_pipelined`] issues many request
-//!   ids before reading replies and matches replies back to outstanding
-//!   ids, overlapping queueing latency across a sweep.
-//! * [`backoff`] — decorrelated-jitter retry delays for busy-rejected
-//!   submissions, so a fleet of rejected clients spreads out instead of
-//!   re-arriving in lockstep.
+//! * [`client`] — the blocking [`TcpClient`] used by tests and
+//!   `tierbench`; it resends a `busy`-rejected request after the
+//!   server's `retry_after_ms`.
 //! * [`stats`] — observability: queue depth, in-flight jobs, run-cache
 //!   hit/miss/coalesce counters, disk-store tier counters (when a
 //!   persistent store is attached), and per-request-kind latency
@@ -62,19 +58,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backoff;
 pub mod client;
 pub mod protocol;
 pub mod queue;
 pub mod server;
 pub mod stats;
 
-pub use backoff::Backoff;
-pub use client::{Client, Pending, SubmitError, TcpClient, WaitError};
+pub use client::TcpClient;
 pub use protocol::{Envelope, WireReply, WireRequest, MAX_LINE_BYTES, RETRY_AFTER_MS};
 pub use queue::{JobQueue, PushError};
 pub use server::{Server, ServerConfig};
 pub use stats::{
-    FleetReport, HistogramSnapshot, KindStats, LatencyHistogram, ServerStats, StatsReport,
-    StoreReport,
+    HistogramSnapshot, KindStats, LatencyHistogram, ServerStats, StatsReport, StoreReport,
 };

@@ -30,10 +30,9 @@
 //! drain every accepted job — each one still gets its response — and
 //! returns the final [`StatsReport`].
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc;
 use std::sync::{Arc, PoisonError};
 
 // Under `model-check` the sync primitives come from the interleave
@@ -46,9 +45,8 @@ use std::sync::{atomic::AtomicBool, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use simcore::{RequestKind, Study, StudyConfig, StudyRequest, StudyResponse};
+use simcore::{RequestKind, Study, StudyConfig, StudyRequest};
 
-use crate::client::Client;
 use crate::protocol::{self, Envelope, WireRequest, MAX_LINE_BYTES, RETRY_AFTER_MS};
 use crate::queue::{JobQueue, PushError};
 use crate::stats::{ServerStats, StatsReport};
@@ -102,7 +100,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Shared per-connection state: the response writer and the cancellation
 /// flag. Jobs hold an `Arc` so responses outlive the reader thread.
-pub(crate) struct Conn {
+struct Conn {
     writer: Mutex<TcpStream>,
     cancelled: AtomicBool,
 }
@@ -127,69 +125,37 @@ impl Conn {
     }
 }
 
-/// Where a job's response goes.
-pub(crate) enum Reply {
-    /// In-process [`Client`]: a channel plus its cancellation flag.
-    InProcess {
-        tx: mpsc::Sender<Result<StudyResponse, String>>,
-        cancelled: Arc<AtomicBool>,
-    },
-    /// TCP client: the connection and the correlation id to echo.
-    Tcp { conn: Arc<Conn>, id: u64 },
-}
-
-impl Reply {
-    fn is_cancelled(&self) -> bool {
-        match self {
-            Reply::InProcess { cancelled, .. } => cancelled.load(Ordering::Relaxed),
-            Reply::Tcp { conn, .. } => conn.cancelled.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Delivers the outcome; `false` means the recipient is gone.
-    fn deliver(self, outcome: Result<StudyResponse, String>) -> bool {
-        match self {
-            Reply::InProcess { tx, .. } => tx.send(outcome).is_ok(),
-            Reply::Tcp { conn, id } => {
-                let line = match &outcome {
-                    Ok(response) => protocol::ok_line(id, response),
-                    Err(message) => protocol::err_line(id, message),
-                };
-                conn.write_line(&line)
-            }
-        }
-    }
-}
-
-/// One queued unit of work.
-pub(crate) struct Job {
-    pub(crate) kind: RequestKind,
-    pub(crate) request: StudyRequest,
-    pub(crate) reply: Reply,
+/// One queued unit of work: the request, plus the connection and
+/// correlation id its reply line goes to.
+struct Job {
+    kind: RequestKind,
+    request: StudyRequest,
+    conn: Arc<Conn>,
+    id: u64,
 }
 
 /// State shared by every thread of one server.
-pub(crate) struct Shared {
-    pub(crate) study: Study,
-    pub(crate) queue: JobQueue<Job>,
-    pub(crate) stats: ServerStats,
-    pub(crate) shutdown: AtomicBool,
+struct Shared {
+    study: Study,
+    queue: JobQueue<Job>,
+    stats: ServerStats,
+    shutdown: AtomicBool,
     /// The run store, when one is attached — the same instance the
     /// study's disk tier uses, held here so fleet recalls can serve raw
     /// record bytes from it inline.
-    pub(crate) store: Option<Arc<simcore::RunStore>>,
+    store: Option<Arc<simcore::RunStore>>,
     /// The outbound fleet tier, when peers are configured; here for its
     /// counters in [`Shared::report`].
-    pub(crate) fleet: Option<Arc<fleet::FleetTier>>,
+    fleet: Option<Arc<fleet::FleetTier>>,
     /// Seeded lost-reply bug (CI negative smoke): set once the server
     /// has dropped its first response.
     #[cfg(mutant = "dropped-response-bug")]
-    pub(crate) dropped_one: AtomicBool,
+    dropped_one: AtomicBool,
 }
 
 impl Shared {
     /// A full observability snapshot.
-    pub(crate) fn report(&self) -> StatsReport {
+    fn report(&self) -> StatsReport {
         self.stats.report(
             self.queue.depth(),
             self.study.cache().counters(),
@@ -199,7 +165,7 @@ impl Shared {
     }
 
     /// Queues a study job, translating queue refusals into counters.
-    pub(crate) fn submit(&self, job: Job) -> Result<(), PushError> {
+    fn submit(&self, job: Job) -> Result<(), PushError> {
         match self.queue.try_push(job) {
             Ok(()) => {
                 self.stats.accepted.fetch_add(1, Ordering::Relaxed);
@@ -283,12 +249,6 @@ impl Server {
         self.local_addr
     }
 
-    /// An in-process client sharing this server's queue, backpressure,
-    /// and run cache — no socket involved.
-    pub fn client(&self) -> Client {
-        Client::new(Arc::clone(&self.shared))
-    }
-
     /// The server's study (e.g. to compare served responses against
     /// direct engine calls over the very same cache).
     pub fn study(&self) -> &Study {
@@ -339,7 +299,7 @@ fn run_pool(shared: &Shared, workers: usize) {
 
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
-        if job.reply.is_cancelled() {
+        if job.conn.cancelled.load(Ordering::Relaxed) {
             shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
             continue;
         }
@@ -361,7 +321,11 @@ fn worker_loop(shared: &Shared) {
                 continue;
             }
         }
-        if !job.reply.deliver(outcome.map_err(|e| e.to_string())) {
+        let line = match &outcome {
+            Ok(response) => protocol::ok_line(job.id, response),
+            Err(e) => protocol::err_line(job.id, &e.to_string()),
+        };
+        if !job.conn.write_line(&line) {
             shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -399,9 +363,18 @@ enum ReadOutcome {
 }
 
 /// Reads towards the next LF with the connection's read timeout as the
-/// polling clock. Partial data accumulates in `buf` across calls.
+/// polling clock. Partial data accumulates in `buf` across calls, and
+/// never past one byte over [`MAX_LINE_BYTES`]: the cap holds while the
+/// line is being read, so a client streaming bytes with no LF costs the
+/// server at most one line of memory.
 fn read_bounded_line(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> ReadOutcome {
-    match reader.read_until(b'\n', buf) {
+    #[cfg(not(mutant = "unbounded-line-bug"))]
+    let limit = (MAX_LINE_BYTES + 1).saturating_sub(buf.len()) as u64;
+    // Seeded bug for the CI negative smoke: the read is unbounded, so
+    // the cap is checked only once the stream pauses or ends.
+    #[cfg(mutant = "unbounded-line-bug")]
+    let limit = u64::MAX;
+    match Read::take(&mut *reader, limit).read_until(b'\n', buf) {
         Ok(0) => {
             if buf.is_empty() {
                 ReadOutcome::Eof
@@ -421,8 +394,9 @@ fn read_bounded_line(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> Re
                 }
                 ReadOutcome::Line(String::from_utf8_lossy(&std::mem::take(buf)).into_owned())
             } else {
-                // read_until only stops short of the delimiter at EOF or
-                // error; treat an incomplete success as more-to-come.
+                // read_until only stops short of the delimiter at EOF,
+                // error or the limit; treat an incomplete success as
+                // more-to-come.
                 ReadOutcome::Idle
             }
         }
@@ -528,10 +502,8 @@ fn serve_line(shared: &Arc<Shared>, conn: &Arc<Conn>, line: &str) -> bool {
             let job = Job {
                 kind: request.kind(),
                 request,
-                reply: Reply::Tcp {
-                    conn: Arc::clone(conn),
-                    id,
-                },
+                conn: Arc::clone(conn),
+                id,
             };
             match shared.submit(job) {
                 Ok(()) => true,

@@ -150,7 +150,7 @@ impl ServerStats {
             cancelled: self.cancelled.load(Ordering::Relaxed),
             cache,
             store: store.map(StoreReport::from),
-            fleet: fleet.map(FleetReport::from),
+            fleet,
             kinds: RequestKind::ALL
                 .iter()
                 .map(|kind| KindStats {
@@ -196,7 +196,7 @@ pub struct StatsReport {
     /// persistent store.
     pub store: Option<StoreReport>,
     /// Fleet-tier counters; `None` when no peers are configured.
-    pub fleet: Option<FleetReport>,
+    pub fleet: Option<fleet::FleetCounters>,
     /// Per-kind latency summaries, in [`RequestKind::ALL`] order.
     pub kinds: Vec<KindStats>,
 }
@@ -219,42 +219,6 @@ pub struct StoreReport {
     pub records: u64,
     /// Segment files known to the store.
     pub segments: u64,
-}
-
-/// Fleet-tier counters inside a [`StatsReport`] — the serializable
-/// mirror of [`fleet::FleetCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct FleetReport {
-    /// Recalls answered by some peer with a verified record.
-    pub hits: u64,
-    /// Recalls the whole fleet missed (computed instead).
-    pub misses: u64,
-    /// Peer records rejected by read-back verification — poisoned or
-    /// damaged answers turned into misses.
-    pub rejected: u64,
-    /// Failed peer conversations (connect, I/O, framing, refusal).
-    pub peer_errors: u64,
-    /// Peers configured.
-    pub peers: u64,
-}
-
-impl From<fleet::FleetCounters> for FleetReport {
-    fn from(c: fleet::FleetCounters) -> Self {
-        let fleet::FleetCounters {
-            hits,
-            misses,
-            rejected,
-            peer_errors,
-            peers,
-        } = c;
-        FleetReport {
-            hits,
-            misses,
-            rejected,
-            peer_errors,
-            peers,
-        }
-    }
 }
 
 impl From<StoreCounters> for StoreReport {

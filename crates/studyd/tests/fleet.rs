@@ -66,9 +66,10 @@ fn warm_peer_serves_cold_node_with_zero_executions() {
     let warm = fleet_server(&warm_dir, Vec::new());
     let warm_addr = warm.local_addr().to_string();
     let mut client = TcpClient::connect(&warm_addr).expect("connects warm");
-    let reference = client
-        .request_pipelined(&figure_sweep())
-        .expect("warm sweep serves");
+    let reference: Vec<_> = figure_sweep()
+        .iter()
+        .map(|request| client.request_value(request).expect("warm sweep serves"))
+        .collect();
     assert!(
         warm.stats_report().cache.executions > 0,
         "the warm node computed the sweep"
@@ -81,9 +82,10 @@ fn warm_peer_serves_cold_node_with_zero_executions() {
     // zero simulator executions — and reproduce the responses bitwise.
     let cold = fleet_server(&cold_dir, vec![warm_addr]);
     let mut client = TcpClient::connect(&cold.local_addr().to_string()).expect("connects cold");
-    let served = client
-        .request_pipelined(&figure_sweep())
-        .expect("cold sweep serves");
+    let served: Vec<_> = figure_sweep()
+        .iter()
+        .map(|request| client.request_value(request).expect("cold sweep serves"))
+        .collect();
     assert_eq!(
         served, reference,
         "fleet recalls must reproduce the warm node's responses bitwise"

@@ -1,9 +1,10 @@
-//! End-to-end tests of the study server: protocol robustness (malformed
-//! JSON, oversized lines, half-closed sockets), queue backpressure,
-//! cancellation, graceful drain, and the headline concurrency property —
-//! N clients issuing overlapping requests coalesce their timing runs and
-//! receive responses bitwise-identical to direct sequential
-//! [`Study`](simcore::Study) execution.
+//! End-to-end tests of the study server, all over TCP: protocol
+//! robustness (malformed JSON, oversized lines, newline-free streams,
+//! half-closed sockets), queue backpressure, cancellation, graceful
+//! drain, and the headline concurrency property — N clients issuing
+//! overlapping requests coalesce their timing runs and receive responses
+//! bitwise-identical to direct sequential [`Study`](simcore::Study)
+//! execution.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -15,7 +16,7 @@ use serde::Serialize;
 use simcore::adaptive::Controller;
 use simcore::{Study, StudyConfig, StudyRequest};
 use specgen::Benchmark;
-use studyd::{Server, ServerConfig, SubmitError, TcpClient, WaitError, WireReply};
+use studyd::{Server, ServerConfig, StatsReport, TcpClient, WireReply, RETRY_AFTER_MS};
 
 /// A deadline long enough for any test-sized request on a loaded 1-CPU
 /// host, short enough that a lost response fails the suite instead of
@@ -39,6 +40,23 @@ fn start_server(workers: usize, queue_capacity: usize) -> Server {
         },
     )
     .expect("server binds an ephemeral port")
+}
+
+fn connect(server: &Server) -> TcpClient {
+    TcpClient::connect(&server.local_addr().to_string()).expect("connects")
+}
+
+/// Polls the server's stats until `done` holds; fails after [`WAIT`].
+fn wait_until(server: &Server, what: &str, done: impl Fn(&StatsReport) -> bool) {
+    let deadline = Instant::now() + WAIT;
+    loop {
+        let report = server.stats_report();
+        if done(&report) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "no {what}: {report:?}");
+        thread::sleep(Duration::from_millis(2));
+    }
 }
 
 fn compare_request(interval: u64) -> StudyRequest {
@@ -67,23 +85,34 @@ fn heavy_request() -> StudyRequest {
 fn every_response_is_delivered() {
     // The CI negative smoke runs exactly this test with the seeded
     // `dropped-response-bug` mutant and requires it to FAIL: the
-    // server's first served job silently loses its response, which shows
-    // up here as a wait timeout.
+    // server's first served job silently loses its response, so the
+    // connection closes one reply short.
     let server = start_server(2, 8);
-    let client = server.client();
-    let pendings: Vec<_> = (0..3)
+    let mut client = connect(&server);
+    let ids: Vec<u64> = (0..3)
         .map(|i| {
             client
-                .submit(compare_request(1024 + 512 * i))
-                .expect("queue has room")
+                .send_study(&compare_request(1024 + 512 * i))
+                .expect("sends")
         })
         .collect();
-    for pending in &pendings {
-        pending.wait(WAIT).expect("every job answers");
-    }
+    client.shutdown_write().expect("half-close");
+    wait_until(&server, "3 accepted jobs", |r| r.accepted == 3);
     let report = server.shutdown();
     assert_eq!(report.completed, 3, "{report:?}");
     assert_eq!(report.queue_depth, 0);
+
+    // Two workers answer in completion order; each reply names its id.
+    let mut answered: Vec<u64> = ids
+        .iter()
+        .map(|_| {
+            let (id, reply) = client.read_reply().expect("every job answers");
+            assert!(matches!(reply, WireReply::Ok(_)), "{reply:?}");
+            id
+        })
+        .collect();
+    answered.sort_unstable();
+    assert_eq!(answered, ids);
 }
 
 #[test]
@@ -107,29 +136,9 @@ fn tcp_response_matches_direct_study_execution() {
 }
 
 #[test]
-fn in_process_client_matches_tcp() {
-    let server = start_server(2, 8);
-    let addr = server.local_addr().to_string();
-    let request = compare_request(4096);
-
-    let in_process = server
-        .client()
-        .request(&request, WAIT)
-        .expect("in-process serve")
-        .to_value();
-    let mut tcp = TcpClient::connect(&addr).expect("connects");
-    let over_wire = tcp.request_value(&request).expect("tcp serve");
-    assert_eq!(in_process, over_wire);
-
-    // The identical request recalled everything from the shared cache.
-    let report = server.shutdown();
-    assert!(report.cache.hits > 0, "{report:?}");
-}
-
-#[test]
 fn malformed_lines_get_errors_and_the_connection_survives() {
     let server = start_server(1, 8);
-    let mut client = TcpClient::connect(&server.local_addr().to_string()).expect("connects");
+    let mut client = connect(&server);
 
     // A nesting bomb just under the line cap: deep enough to overflow a
     // recursive parser's stack, which would abort the whole server.
@@ -164,7 +173,7 @@ fn zero_instruction_adaptive_window_fails_and_the_connection_survives() {
     // A window of 0 instructions would never advance the closed loop; the
     // engine must refuse it instead of holding a worker forever.
     let server = start_server(1, 8);
-    let mut client = TcpClient::connect(&server.local_addr().to_string()).expect("connects");
+    let mut client = connect(&server);
 
     let id = client
         .send_study(&StudyRequest::Adaptive {
@@ -195,7 +204,7 @@ fn zero_instruction_adaptive_window_fails_and_the_connection_survives() {
 #[test]
 fn oversized_lines_are_rejected_and_the_connection_closes() {
     let server = start_server(1, 8);
-    let mut client = TcpClient::connect(&server.local_addr().to_string()).expect("connects");
+    let mut client = connect(&server);
 
     let huge = format!("{{\"id\": 1, \"pad\": \"{}\"}}", "x".repeat(70 * 1024));
     client.send_raw_line(&huge).expect("sends");
@@ -214,9 +223,32 @@ fn oversized_lines_are_rejected_and_the_connection_closes() {
 }
 
 #[test]
+fn newline_free_stream_is_cut_off_at_the_line_cap() {
+    // A client streaming bytes with no LF must be cut off once the line
+    // passes MAX_LINE_BYTES, not buffered until the stream stops.
+    let server = start_server(1, 2);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connects");
+    stream
+        .set_write_timeout(Some(WAIT))
+        .expect("timeout configures");
+    let chunk = vec![b'x'; 64 * 1024];
+    let mut sent = 0usize;
+    while sent < 64 << 20 && stream.write_all(&chunk).is_ok() {
+        sent += chunk.len();
+    }
+    assert!(
+        sent < 16 << 20,
+        "the server kept reading: {} MiB",
+        sent >> 20
+    );
+    let report = server.shutdown();
+    assert_eq!(report.protocol_errors, 1, "{report:?}");
+}
+
+#[test]
 fn half_closed_sockets_still_get_their_responses() {
     let server = start_server(2, 8);
-    let mut client = TcpClient::connect(&server.local_addr().to_string()).expect("connects");
+    let mut client = connect(&server);
 
     let id = client.send_study(&compare_request(8192)).expect("sends");
     client.shutdown_write().expect("half-close");
@@ -287,31 +319,35 @@ fn concurrent_identical_clients_coalesce_and_match_sequential() {
 #[test]
 fn full_queue_answers_busy_and_recovers() {
     let server = start_server(1, 1);
-    let client = server.client();
+    // Occupy the single worker, so the one queue slot stays taken.
+    let mut heavy = connect(&server);
+    let heavy_id = heavy.send_study(&heavy_request()).expect("sends");
+    wait_until(&server, "heavy job in flight", |r| r.in_flight == 1);
 
-    // Occupy the single worker long enough to fill the one queue slot.
-    let heavy = client.submit(heavy_request()).expect("queue has room");
-    let mut queued = Vec::new();
-    let mut busy = None;
-    for i in 0..50 {
-        match client.submit(compare_request(1024 + 2048 * i)) {
-            Ok(pending) => queued.push(pending),
-            Err(SubmitError::Busy { queue_depth }) => {
-                busy = Some(queue_depth);
-                break;
-            }
-            Err(SubmitError::ShuttingDown) => panic!("server is running"),
+    let mut client = connect(&server);
+    let queued = client.send_study(&compare_request(1024)).expect("sends");
+    wait_until(&server, "queued job", |r| r.accepted == 2);
+    let refused = client.send_study(&compare_request(3072)).expect("sends");
+    let (id, reply) = client.read_reply().expect("busy is answered inline");
+    assert_eq!(id, refused, "busy carries the refused request's id");
+    assert_eq!(
+        reply,
+        WireReply::Busy {
+            retry_after_ms: RETRY_AFTER_MS,
+            queue_depth: 1
         }
-    }
-    let depth = busy.expect("a capacity-1 queue behind a busy worker must refuse");
-    assert_eq!(depth, 1);
+    );
 
     // Backpressure is advisory, not fatal: retrying eventually lands.
-    let retried = client
-        .request(&compare_request(512), WAIT)
+    let retried = connect(&server)
+        .request_value(&compare_request(512))
         .expect("retry lands");
-    assert!(matches!(retried, simcore::StudyResponse::Compare(_)));
-    heavy.wait(WAIT).expect("heavy job finishes");
+    assert!(matches!(retried, serde::Value::Object(_)));
+    for (conn, id) in [(&mut client, queued), (&mut heavy, heavy_id)] {
+        let (got_id, reply) = conn.read_reply().expect("accepted jobs answer");
+        assert_eq!(got_id, id);
+        assert!(matches!(reply, WireReply::Ok(_)), "{reply:?}");
+    }
 
     let report = server.shutdown();
     assert!(report.rejected_busy >= 1, "{report:?}");
@@ -321,48 +357,56 @@ fn full_queue_answers_busy_and_recovers() {
 #[test]
 fn cancelled_jobs_are_skipped_not_served() {
     let server = start_server(1, 8);
-    let client = server.client();
+    let mut heavy = connect(&server);
+    let heavy_id = heavy.send_study(&heavy_request()).expect("sends");
+    wait_until(&server, "heavy job in flight", |r| r.in_flight == 1);
 
-    let heavy = client.submit(heavy_request()).expect("queue has room");
-    let doomed = client
-        .submit(compare_request(3072))
-        .expect("queue has room");
-    doomed.cancel();
+    // A second connection queues a job behind the heavy one, then dies.
+    // Closing a socket that holds unread bytes (the inline stats reply)
+    // sends RST instead of FIN, so the server's read fails: a dead
+    // connection, not a clean EOF, and its queued job is cancelled.
+    let mut doomed = TcpStream::connect(server.local_addr()).expect("connects");
+    doomed
+        .set_read_timeout(Some(WAIT))
+        .expect("timeout configures");
+    let lines = studyd::protocol::stats_request_line(1)
+        + &studyd::protocol::study_line(2, &compare_request(3072));
+    doomed.write_all(lines.as_bytes()).expect("sends");
+    wait_until(&server, "doomed job queued", |r| r.accepted == 2);
+    doomed.peek(&mut [0u8; 1]).expect("the stats reply arrives");
+    drop(doomed);
 
-    heavy.wait(WAIT).expect("heavy job finishes");
+    let (id, reply) = heavy.read_reply().expect("heavy job finishes");
+    assert_eq!(id, heavy_id);
+    assert!(matches!(reply, WireReply::Ok(_)), "{reply:?}");
     let report = server.shutdown();
-    assert!(report.cancelled >= 1, "{report:?}");
-    assert!(
-        doomed.wait(Duration::from_millis(10)).is_err(),
-        "a cancelled job never answers"
-    );
+    assert_eq!(report.cancelled, 1, "{report:?}");
+    assert_eq!(report.completed, 1, "{report:?}");
 }
 
 #[test]
 fn shutdown_drains_every_accepted_job() {
     let server = start_server(1, 8);
-    let client = server.client();
-    let pendings: Vec<_> = (0..4)
+    let mut client = connect(&server);
+    let ids: Vec<u64> = (0..4)
         .map(|i| {
             client
-                .submit(compare_request(1024 * (i + 1)))
-                .expect("queue has room")
+                .send_study(&compare_request(1024 * (i + 1)))
+                .expect("sends")
         })
         .collect();
+    wait_until(&server, "4 accepted jobs", |r| r.accepted == 4);
 
     let report = server.shutdown();
     assert_eq!(report.completed, 4, "drain serves everything: {report:?}");
-    for pending in &pendings {
-        pending
-            .wait(Duration::from_millis(100))
+    // One worker answers in queue order.
+    for id in ids {
+        let (got_id, reply) = client
+            .read_reply()
             .expect("response delivered during drain");
+        assert_eq!(got_id, id);
+        assert!(matches!(reply, WireReply::Ok(_)), "{reply:?}");
     }
-
-    // After shutdown the queue refuses new work.
-    assert!(matches!(
-        client.submit(compare_request(999)),
-        Err(SubmitError::ShuttingDown)
-    ));
 }
 
 #[test]
@@ -414,66 +458,6 @@ fn stats_are_served_inline_and_carry_cache_counters() {
     assert!(report.kinds[0].latency.count == 2);
     assert!(report.kinds[0].latency.total_seconds.get() > 0.0);
     server.shutdown();
-}
-
-#[test]
-fn busy_retry_never_sleeps_past_the_deadline() {
-    let server = start_server(1, 1);
-    let client = server.client();
-
-    // Occupy the worker and fill the single queue slot so the short
-    // request below meets sustained backpressure.
-    let heavy = client.submit(heavy_request()).expect("queue has room");
-    let filler = loop {
-        match client.submit(heavy_request()) {
-            Ok(pending) => break pending,
-            Err(SubmitError::Busy { .. }) => thread::sleep(Duration::from_millis(1)),
-            Err(SubmitError::ShuttingDown) => panic!("server is running"),
-        }
-    };
-
-    // Regression: the busy-retry loop used to sleep a full
-    // RETRY_AFTER_MS (50 ms) regardless of how little budget remained,
-    // so a 5 ms deadline returned ~50 ms late. The sleep is now clamped
-    // to the remaining budget.
-    let timeout = Duration::from_millis(5);
-    let start = Instant::now();
-    let result = client.request(&compare_request(512), timeout);
-    let elapsed = start.elapsed();
-    assert_eq!(result, Err(WaitError::TimedOut));
-    assert!(
-        elapsed < Duration::from_millis(40),
-        "request slept past its {timeout:?} deadline: {elapsed:?}"
-    );
-
-    heavy.wait(WAIT).expect("heavy job finishes");
-    filler.wait(WAIT).expect("filler finishes");
-    server.shutdown();
-}
-
-#[test]
-fn pipelined_sweep_matches_sequential_and_resolves_every_id() {
-    // One worker and a 2-slot queue: a pipelined batch of 8 overflows
-    // the queue, so the client's busy-retry/resend-under-fresh-id path
-    // is exercised, not just the happy path.
-    let server = start_server(1, 2);
-    let addr = server.local_addr().to_string();
-    let requests: Vec<StudyRequest> = (0..8).map(|i| compare_request(1024 + 512 * i)).collect();
-
-    let mut pipelined_client = TcpClient::connect(&addr).expect("connects");
-    let pipelined = pipelined_client
-        .request_pipelined(&requests)
-        .expect("every id resolves");
-    assert_eq!(pipelined.len(), requests.len());
-
-    let mut sequential_client = TcpClient::connect(&addr).expect("connects");
-    for (request, from_pipeline) in requests.iter().zip(&pipelined) {
-        let sequential = sequential_client.request_value(request).expect("serves");
-        assert_eq!(&sequential, from_pipeline, "order or payload mismatch");
-    }
-
-    let report = server.shutdown();
-    assert_eq!(report.completed, 2 * requests.len() as u64, "{report:?}");
 }
 
 #[test]
