@@ -110,6 +110,13 @@ impl Conn {
     /// connection cancelled so queued siblings are skipped.
     fn write_line(&self, line: &str) -> bool {
         let mut writer = lock(&self.writer);
+        self.write_locked(&mut writer, line)
+    }
+
+    /// [`Conn::write_line`] through a writer the caller has locked, so it
+    /// can count the outcome, or render the line, before another line
+    /// goes out on this connection.
+    fn write_locked(&self, writer: &mut TcpStream, line: &str) -> bool {
         // lint: allow(no-sleep-while-locked): the writer mutex exists to
         // make whole-line writes atomic; holding it across the write IS
         // the serialization, and each line is small and bounded.
@@ -117,7 +124,6 @@ impl Conn {
             .write_all(line.as_bytes())
             .and_then(|()| writer.flush())
             .is_ok();
-        drop(writer);
         if !ok {
             self.cancelled.store(true, Ordering::Relaxed);
         }
@@ -308,26 +314,28 @@ fn worker_loop(shared: &Shared) {
         let outcome = shared.study.serve(&job.request);
         shared.stats.record_latency(job.kind, start.elapsed());
         shared.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-        match &outcome {
-            Ok(_) => shared.stats.completed.fetch_add(1, Ordering::Relaxed),
-            Err(_) => shared.stats.failed.fetch_add(1, Ordering::Relaxed),
-        };
-        #[cfg(mutant = "dropped-response-bug")]
-        {
-            // Seeded bug for the CI negative smoke: the first job each
-            // server serves "forgets" to deliver its response. The
-            // delivery test must turn this into a failure.
-            if !shared.dropped_one.swap(true, Ordering::SeqCst) {
-                continue;
-            }
-        }
         let line = match &outcome {
             Ok(response) => protocol::ok_line(job.id, response),
             Err(e) => protocol::err_line(job.id, &e.to_string()),
         };
-        if !job.conn.write_line(&line) {
-            shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-        }
+        // Counted before the writer unlocks: a `stats` reply this
+        // connection asks for after reading the line counts it too.
+        let mut writer = lock(&job.conn.writer);
+        #[cfg(not(mutant = "dropped-response-bug"))]
+        let delivered = job.conn.write_locked(&mut writer, &line);
+        // Seeded bug for the CI negative smoke: the first job each server
+        // serves "forgets" to write its response yet counts it delivered.
+        // The delivery test must turn this into a failure.
+        #[cfg(mutant = "dropped-response-bug")]
+        let delivered = !shared.dropped_one.swap(true, Ordering::SeqCst)
+            || job.conn.write_locked(&mut writer, &line);
+        let counter = match (delivered, &outcome) {
+            (false, _) => &shared.stats.undelivered,
+            (true, Ok(_)) => &shared.stats.completed,
+            (true, Err(_)) => &shared.stats.failed,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        drop(writer);
     }
 }
 
@@ -490,7 +498,13 @@ fn serve_line(shared: &Arc<Shared>, conn: &Arc<Conn>, line: &str) -> bool {
         Ok(Envelope {
             id,
             request: WireRequest::Stats,
-        }) => conn.write_line(&protocol::stats_line(id, &shared.report())),
+        }) => {
+            // Rendered under the writer lock, so every reply this
+            // connection has been sent is already counted (`worker_loop`).
+            let mut writer = lock(&conn.writer);
+            let line = protocol::stats_line(id, &shared.report());
+            conn.write_locked(&mut writer, &line)
+        }
         Ok(Envelope {
             id,
             request: WireRequest::Fleet(request),

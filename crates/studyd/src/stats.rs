@@ -104,13 +104,18 @@ pub struct ServerStats {
     pub rejected_busy: AtomicU64,
     /// Request lines that failed to parse (malformed or oversized).
     pub protocol_errors: AtomicU64,
-    /// Jobs served to completion (response delivered or deliverer gone).
+    /// Jobs served whose response line went out.
     pub completed: AtomicU64,
-    /// Jobs whose [`simcore::Study::serve`] returned an error.
+    /// Jobs whose [`simcore::Study::serve`] returned an error, and whose
+    /// error line went out.
     pub failed: AtomicU64,
-    /// Jobs skipped because their client cancelled or disconnected
-    /// before service, plus responses undeliverable at write time.
+    /// Jobs skipped before service because their client cancelled or
+    /// disconnected.
     pub cancelled: AtomicU64,
+    /// Jobs served whose response line could not be written. Each
+    /// accepted job ends in exactly one of `completed`, `failed`,
+    /// `cancelled` and `undelivered`.
+    pub undelivered: AtomicU64,
     /// Jobs currently inside [`simcore::Study::serve`].
     pub in_flight: AtomicU64,
     latency: [LatencyHistogram; RequestKind::ALL.len()],
@@ -148,6 +153,7 @@ impl ServerStats {
             completed: self.completed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
+            undelivered: self.undelivered.load(Ordering::Relaxed),
             cache,
             store: store.map(StoreReport::from),
             fleet,
@@ -184,12 +190,17 @@ pub struct StatsReport {
     pub rejected_busy: u64,
     /// Unparseable request lines, ever.
     pub protocol_errors: u64,
-    /// Jobs served to completion, ever.
+    /// Jobs served whose response line went out, ever.
     pub completed: u64,
-    /// Jobs that failed inside the engine, ever.
+    /// Jobs that failed inside the engine and whose error line went out,
+    /// ever.
     pub failed: u64,
-    /// Jobs skipped as cancelled or undeliverable, ever.
+    /// Jobs skipped before service as cancelled, ever.
     pub cancelled: u64,
+    /// Jobs served whose response line could not be written, ever. Once
+    /// the server has shut down, `completed + failed + cancelled +
+    /// undelivered == accepted`.
+    pub undelivered: u64,
     /// Run-cache hit/miss/coalesce counters (shared across requests).
     pub cache: RunCacheCounters,
     /// Disk-store tier counters; `None` when the server runs without a

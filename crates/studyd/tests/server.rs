@@ -382,6 +382,38 @@ fn cancelled_jobs_are_skipped_not_served() {
     let report = server.shutdown();
     assert_eq!(report.cancelled, 1, "{report:?}");
     assert_eq!(report.completed, 1, "{report:?}");
+    assert_counters_partition_accepted(&report);
+}
+
+#[test]
+fn a_reply_to_a_reset_connection_counts_once_as_undelivered() {
+    let server = start_server(1, 8);
+    // The connection resets (see above) while its own job is in service,
+    // so the worker serves it and then fails to write the reply.
+    let mut doomed = TcpStream::connect(server.local_addr()).expect("connects");
+    doomed
+        .set_read_timeout(Some(WAIT))
+        .expect("timeout configures");
+    let lines = studyd::protocol::stats_request_line(1)
+        + &studyd::protocol::study_line(2, &heavy_request());
+    doomed.write_all(lines.as_bytes()).expect("sends");
+    wait_until(&server, "doomed job in service", |r| r.in_flight == 1);
+    doomed.peek(&mut [0u8; 1]).expect("the stats reply arrives");
+    drop(doomed);
+
+    let report = server.shutdown();
+    assert_eq!(report.undelivered, 1, "{report:?}");
+    assert_eq!(report.completed, 0, "{report:?}");
+    assert_counters_partition_accepted(&report);
+}
+
+/// Every accepted job ends in exactly one outcome counter.
+fn assert_counters_partition_accepted(report: &StatsReport) {
+    assert_eq!(
+        report.completed + report.failed + report.cancelled + report.undelivered,
+        report.accepted,
+        "{report:?}"
+    );
 }
 
 #[test]

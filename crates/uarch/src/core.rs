@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::bpred::{BranchPredictor, PredictorConfig};
 use crate::insn::{MicroOp, OpClass, NUM_REGS};
-use crate::resources::{FuComplement, SlotCalendar};
+use crate::resources::{FuComplement, InOrderSlots, SlotCalendar};
 use crate::stats::CoreStats;
 use crate::trace::TraceSource;
 
@@ -56,10 +56,12 @@ pub struct Core {
     cfg: CoreConfig,
     bpred: BranchPredictor,
     fu: FuComplement,
-    fetch_slots: SlotCalendar,
+    /// Fetch and commit starts never decrease (`fetch_ready` only grows;
+    /// commit is in order), so they book on [`InOrderSlots`].
+    fetch_slots: InOrderSlots,
     dispatch_slots: SlotCalendar,
     issue_slots: SlotCalendar,
-    commit_slots: SlotCalendar,
+    commit_slots: InOrderSlots,
     /// Miss-status holding registers: each outstanding L1D miss occupies
     /// one for the duration of its fill.
     mshrs: crate::resources::UnitPool,
@@ -90,10 +92,10 @@ impl Core {
             cfg,
             bpred: BranchPredictor::new(cfg.predictor),
             fu: FuComplement::table2(),
-            fetch_slots: SlotCalendar::new(cfg.width),
+            fetch_slots: InOrderSlots::new(cfg.width),
             dispatch_slots: SlotCalendar::new(cfg.width),
             issue_slots: SlotCalendar::new(cfg.width),
-            commit_slots: SlotCalendar::new(cfg.width),
+            commit_slots: InOrderSlots::new(cfg.width),
             mshrs: crate::resources::UnitPool::new(cfg.mshrs.max(1)),
             hierarchy,
             reg_ready: [0; NUM_REGS],
