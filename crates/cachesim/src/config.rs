@@ -11,12 +11,20 @@ use serde::{Deserialize, Serialize};
 pub enum ConfigError {
     /// A size parameter was zero or not a power of two where required.
     BadGeometry(String),
+    /// The slowest access's latency, in cycles, does not fit the `u32`
+    /// the hierarchy adds latencies in.
+    LatencyOverflow(u64),
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::BadGeometry(what) => write!(f, "bad cache geometry: {what}"),
+            ConfigError::LatencyOverflow(worst) => write!(
+                f,
+                "the slowest access takes {worst} cycles, more than {}",
+                u32::MAX
+            ),
         }
     }
 }

@@ -78,8 +78,17 @@ impl Hierarchy {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if any level's geometry is invalid.
+    /// Returns [`ConfigError`] if any level's geometry is invalid, or if
+    /// the slowest access (L1 hit, L1D wake settle, L2 hit and memory)
+    /// takes more than `u32::MAX` cycles: accesses add their latencies
+    /// in `u32`.
     pub fn new(cfg: HierarchyConfig) -> Result<Self, ConfigError> {
+        let wake = cfg.l1d_decay.map_or(0, |d| u64::from(d.wake_settle_cycles));
+        let l1 = u64::from(cfg.l1i.hit_latency).max(u64::from(cfg.l1d.hit_latency) + wake);
+        let worst = l1 + u64::from(cfg.l2.hit_latency) + u64::from(cfg.mem_latency);
+        if worst > u64::from(u32::MAX) {
+            return Err(ConfigError::LatencyOverflow(worst));
+        }
         Ok(Hierarchy {
             l1i: Cache::new(cfg.l1i, None)?,
             l1d: Cache::new(cfg.l1d, cfg.l1d_decay)?,
@@ -261,6 +270,23 @@ mod tests {
             sleep_settle_cycles: 30,
             wake_settle_cycles: 3,
         }
+    }
+
+    #[test]
+    fn latency_sums_must_fit_in_u32() {
+        // L1D hit 2 + wake settle 3 + L2 + memory 100.
+        let largest = u32::MAX - 2 - 3 - 100;
+        let mut h = Hierarchy::new(HierarchyConfig::table2(largest, Some(gated(512))))
+            .expect("the slowest access takes exactly u32::MAX cycles");
+        let out = h.data_access(0x1000, AccessKind::Read, 0);
+        assert_eq!(out.latency, 2 + largest + 100);
+        assert_eq!(
+            Hierarchy::new(HierarchyConfig::table2(largest + 1, Some(gated(512)))).err(),
+            Some(ConfigError::LatencyOverflow(u64::from(u32::MAX) + 1))
+        );
+        // Without decay there is no wake settle to pay.
+        assert!(Hierarchy::new(HierarchyConfig::table2(largest + 3, None)).is_ok());
+        assert!(Hierarchy::new(HierarchyConfig::table2(largest + 4, None)).is_err());
     }
 
     #[test]

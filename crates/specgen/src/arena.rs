@@ -4,7 +4,7 @@
 //! replays the identical stream once per technique/interval point: the
 //! baseline, drowsy and gated runs of one benchmark each regenerate the
 //! same instructions from scratch. Generation costs on the order of
-//! 100 ns per instruction — comparable to the whole rest of the timing
+//! 80 ns per instruction — comparable to the whole rest of the timing
 //! model — so the engines replay each stream from a shared in-memory
 //! buffer instead: generate once per `(benchmark, seed)`, replay from a
 //! flat array of packed ops everywhere else.

@@ -1,7 +1,7 @@
 //! The trace generator driven by a [`BenchmarkProfile`].
 
-use rand::Rng;
-use rand::SeedableRng;
+use rand::distributions::{Bernoulli, Distribution};
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use uarch::insn::{MicroOp, OpClass};
 use uarch::trace::TraceSource;
@@ -27,6 +27,7 @@ const FUNC_BASE: u64 = 0x0080_0000;
 #[derive(Debug, Clone)]
 pub struct SpecTrace {
     profile: BenchmarkProfile,
+    chances: Chances,
     rng: ChaCha8Rng,
     pc: u64,
     /// Destination registers of recent producers (ring, newest last).
@@ -45,6 +46,52 @@ pub struct SpecTrace {
     ops_emitted: u64,
 }
 
+/// The profile's fixed draw probabilities, each built once so that no
+/// draw scales or range-checks a float. Only the call-depth-dependent
+/// return probability is drawn with `gen_bool`.
+#[derive(Debug, Clone, Copy)]
+struct Chances {
+    /// A load's first source is a recent producer: `dep_p1 × 0.5`.
+    load_src: Bernoulli,
+    /// A store's or ALU op's first source is a recent producer: `dep_p1`.
+    src1: Bernoulli,
+    /// An ALU op has a second source: `dep_p2`.
+    has_src2: Bernoulli,
+    /// That second source is a recent producer: 0.9.
+    src2: Bernoulli,
+    /// The walk back through recent producers stops at the next one:
+    /// `1 / dep_mean_dist.max(1)`.
+    dep_stop: Bernoulli,
+    /// A loop branch is taken: `br_loop_bias`.
+    loop_taken: Bernoulli,
+    /// A random branch is taken: 0.5.
+    coin: Bernoulli,
+}
+
+impl Chances {
+    /// The fixed probabilities of profile `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a probability is outside [0, 1], which
+    /// [`BenchmarkProfile::assert_valid`] rules out.
+    fn new(p: &BenchmarkProfile) -> Self {
+        let chance = |prob: f64| {
+            // lint: allow(unwrap): assert_valid bounds every profile fraction to [0, 1]
+            Bernoulli::new(prob).expect("profile probability in [0, 1]")
+        };
+        Chances {
+            load_src: chance(p.dep_p1 * 0.5),
+            src1: chance(p.dep_p1),
+            has_src2: chance(p.dep_p2),
+            src2: chance(0.9),
+            dep_stop: chance(1.0 / p.dep_mean_dist.max(1.0)),
+            loop_taken: chance(p.br_loop_bias),
+            coin: chance(0.5),
+        }
+    }
+}
+
 impl SpecTrace {
     /// A generator for `benchmark` seeded with `seed`.
     pub fn new(benchmark: Benchmark, seed: u64) -> Self {
@@ -59,6 +106,7 @@ impl SpecTrace {
     pub fn with_profile(profile: BenchmarkProfile, seed: u64) -> Self {
         profile.assert_valid();
         SpecTrace {
+            chances: Chances::new(&profile),
             profile,
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
             pc: CODE_BASE,
@@ -100,16 +148,16 @@ impl SpecTrace {
         d
     }
 
-    fn pick_src(&mut self, prob: f64) -> Option<u8> {
-        if self.recent_dests.is_empty() || !self.rng.gen_bool(prob) {
+    /// A source register: with probability `recent`, one of the recent
+    /// producers, else an old, long-ready register.
+    fn pick_src(&mut self, recent: Bernoulli) -> Option<u8> {
+        if self.recent_dests.is_empty() || !recent.sample(&mut self.rng) {
             // An old, long-ready register.
             return Some(25 + (self.rng.gen::<u8>() % 6));
         }
         // Geometric-ish distance into the recent producers.
-        let mean = self.profile.dep_mean_dist.max(1.0);
-        let p = 1.0 / mean;
         let mut dist = 0usize;
-        while dist + 1 < self.recent_dests.len() && !self.rng.gen_bool(p) {
+        while dist + 1 < self.recent_dests.len() && !self.chances.dep_stop.sample(&mut self.rng) {
             dist += 1;
         }
         let idx = self.recent_dests.len() - 1 - dist;
@@ -161,7 +209,7 @@ impl SpecTrace {
         let h = pc.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
         let class_sel = (h % 1000) as f64 / 1000.0;
         let taken = if class_sel < p.br_loop_frac {
-            self.rng.gen_bool(p.br_loop_bias)
+            self.chances.loop_taken.sample(&mut self.rng)
         } else if class_sel < p.br_loop_frac + p.br_pattern_frac {
             // History-correlated branch: repeats the previous branch's
             // outcome. The GAg component sees the outcome as a pure
@@ -169,7 +217,7 @@ impl SpecTrace {
             // behaviour hybrid predictors exist to capture.
             self.last_taken
         } else {
-            self.rng.gen_bool(0.5)
+            self.chances.coin.sample(&mut self.rng)
         };
         // Stable per-PC target keeps the BTB effective. Block popularity is
         // two-tier: 90 % of jump sites target one of a few dozen hot blocks
@@ -262,7 +310,7 @@ impl TraceSource for SpecTrace {
             let src1 = if serialised {
                 self.chase_dest
             } else {
-                self.pick_src(p.dep_p1 * 0.5)
+                self.pick_src(self.chances.load_src)
             };
             if serialised {
                 self.chase_dest = Some(dest);
@@ -274,7 +322,7 @@ impl TraceSource for SpecTrace {
             }
         } else if r < p.load_frac + p.store_frac {
             let (addr, _) = self.pick_addr();
-            let src = self.pick_src(p.dep_p1).unwrap_or(1);
+            let src = self.pick_src(self.chances.src1).unwrap_or(1);
             self.pc += 4;
             MicroOp::store(pc, src, addr)
         } else if r < p.load_frac + p.store_frac + p.branch_frac {
@@ -293,9 +341,9 @@ impl TraceSource for SpecTrace {
                 }
             };
             let dest = self.pick_dest();
-            let src1 = self.pick_src(p.dep_p1);
-            let src2 = if self.rng.gen_bool(p.dep_p2) {
-                self.pick_src(0.9)
+            let src1 = self.pick_src(self.chances.src1);
+            let src2 = if self.chances.has_src2.sample(&mut self.rng) {
+                self.pick_src(self.chances.src2)
             } else {
                 None
             };

@@ -202,6 +202,39 @@ fn zero_instruction_adaptive_window_fails_and_the_connection_survives() {
 }
 
 #[test]
+fn an_l2_latency_that_overflows_the_latency_sum_gets_an_error_reply() {
+    // The hierarchy adds an access's latencies in u32, so an L2 latency
+    // near u32::MAX must be refused, not simulated with a wrapped sum.
+    let server = start_server(1, 8);
+    let mut client = connect(&server);
+
+    let id = client
+        .send_study(&StudyRequest::Compare {
+            benchmark: Benchmark::Gzip,
+            technique: TechniqueKind::Drowsy,
+            interval: 1024,
+            l2_latency: u32::MAX,
+            temperature_c: 110.0,
+        })
+        .expect("sends");
+    let (got_id, reply) = client.read_reply().expect("server answers");
+    assert_eq!(got_id, id, "the error carries the request's id");
+    match reply {
+        WireReply::Err(msg) => assert!(msg.contains("cache config error"), "{msg}"),
+        other => panic!("expected err, got {other:?}"),
+    }
+
+    let value = client
+        .request_value(&compare_request(1024))
+        .expect("still serves");
+    assert!(matches!(value, serde::Value::Object(_)));
+
+    let report = server.shutdown();
+    assert_eq!(report.failed, 1, "{report:?}");
+    assert_eq!(report.completed, 1);
+}
+
+#[test]
 fn oversized_lines_are_rejected_and_the_connection_closes() {
     let server = start_server(1, 8);
     let mut client = connect(&server);
