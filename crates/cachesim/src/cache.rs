@@ -153,6 +153,9 @@ const STATE_VALID: u8 = 1;
 /// Data-state byte: tag remembered but data lost to decay.
 const STATE_GHOST: u8 = 2;
 
+/// The way index of no way.
+const NO_WAY: usize = usize::MAX;
+
 /// Struct-of-arrays line storage: one entry per line in way-major order
 /// (line `set * assoc + way`), so a set's ways are contiguous in every
 /// array. Allocated once at construction; never grows.
@@ -211,6 +214,13 @@ impl LineSlab {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// `cfg`'s address split as shifts and a mask, so an access never
+    /// divides by the set count.
+    offset_shift: u32,
+    set_shift: u32,
+    set_mask: u64,
+    /// `cfg.num_lines()`, without its division.
+    lines: usize,
     decay: Option<DecayConfig>,
     slab: LineSlab,
     global: GlobalCounter,
@@ -244,8 +254,13 @@ impl Cache {
         cfg.validate()?;
         let period = decay.map(|d| d.quarter_interval()).unwrap_or(u64::MAX);
         let n = cfg.num_lines();
+        let sets = cfg.num_sets();
         let mut cache = Cache {
             cfg,
+            offset_shift: cfg.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: (sets - 1) as u64,
+            lines: n,
             decay,
             slab: LineSlab::new(n),
             global: GlobalCounter::new(period),
@@ -283,7 +298,7 @@ impl Cache {
 
     /// Event id of the `Simple` policy's recurring full-interval flush.
     fn flush_event_id(&self) -> u32 {
-        self.cfg.num_lines() as u32
+        self.lines as u32
     }
 
     /// Absolute cycle of regime wrap number `wrap`.
@@ -438,7 +453,7 @@ impl Cache {
             self.global.wraps = wraps_now;
             self.stats.global_counter_wraps += newly;
             if matches!(self.decay.map(|d| d.policy), Some(DecayPolicy::NoAccess)) {
-                self.stats.local_counter_ticks += newly * self.cfg.num_lines() as u64;
+                self.stats.local_counter_ticks += newly * self.lines as u64;
             }
         }
         self.clock = now;
@@ -447,7 +462,7 @@ impl Cache {
     /// Routes one due wheel event to its handler.
     fn dispatch(&mut self, wheel: &mut TimingWheel, id: u32, t: u64) {
         let idx = id as usize;
-        if idx < self.cfg.num_lines() {
+        if idx < self.lines {
             self.on_decay_deadline(wheel, idx, t);
         } else {
             self.on_flush(wheel, t);
@@ -475,7 +490,7 @@ impl Cache {
     /// deactivate every fully active line, then schedule the next flush one
     /// interval later.
     fn on_flush(&mut self, wheel: &mut TimingWheel, t: u64) {
-        for i in 0..self.cfg.num_lines() {
+        for i in 0..self.lines {
             self.settle_line(i, t);
             if matches!(self.slab.mode[i], LineMode::Active) {
                 self.deactivate(i, t);
@@ -543,7 +558,7 @@ impl Cache {
         // checker can demonstrate the original bug; the fixed behavior
         // restarts every counter.
         #[cfg(mutant = "pre-fix-stale-counter")]
-        for i in 0..self.cfg.num_lines() {
+        for i in 0..self.lines {
             let stale = self.local_counter(i);
             self.slab.base_count[i] = stale;
         }
@@ -571,7 +586,7 @@ impl Cache {
         };
         match decay.policy {
             DecayPolicy::NoAccess => {
-                for i in 0..self.cfg.num_lines() {
+                for i in 0..self.lines {
                     let live = matches!(
                         self.resolved_mode_at(i, self.clock),
                         LineMode::Active | LineMode::Waking { .. }
@@ -591,6 +606,16 @@ impl Cache {
                 }
             }
         }
+    }
+
+    /// Splits an address into `(tag, set_index)`, as
+    /// [`CacheConfig::split`] does.
+    fn split(&self, addr: u64) -> (u64, usize) {
+        let line_addr = addr >> self.offset_shift;
+        (
+            line_addr >> self.set_shift,
+            (line_addr & self.set_mask) as usize,
+        )
     }
 
     fn set_range(&self, set: usize) -> std::ops::Range<usize> {
@@ -614,7 +639,7 @@ impl Cache {
         }
         self.stamp += 1;
         let stamp = self.stamp;
-        let (tag, set) = self.cfg.split(addr);
+        let (tag, set) = self.split(addr);
         let range = self.set_range(set);
 
         // No whole-set settlement here: settlement is additive, so only
@@ -623,26 +648,33 @@ impl Cache {
         // expired transitions without touching the integrals.
 
         // Look for a matching way (live data or ghost). Zipped slice
-        // iteration keeps the scan free of per-element bounds checks.
-        let mut hit_way: Option<usize> = None;
-        let mut ghost_way: Option<usize> = None;
+        // iteration keeps the scan free of per-element bounds checks, and
+        // selects keep it free of branches on which way matches, which
+        // the address stream makes unpredictable.
+        let mut hit_way = NO_WAY;
+        let mut ghost_way = NO_WAY;
         let tags = &self.slab.tag[range.clone()];
         let states = &self.slab.state[range.clone()];
-        for (off, (&t, &st)) in tags.iter().zip(states).enumerate() {
-            if t == tag {
-                match st {
-                    STATE_VALID => hit_way = Some(range.start + off),
-                    STATE_GHOST => ghost_way = Some(range.start + off),
-                    _ => {}
-                }
-            }
+        for (way, (&t, &st)) in range.clone().zip(tags.iter().zip(states)) {
+            let matched = t == tag;
+            hit_way = if matched & (st == STATE_VALID) {
+                way
+            } else {
+                hit_way
+            };
+            ghost_way = if matched & (st == STATE_GHOST) {
+                way
+            } else {
+                ghost_way
+            };
         }
+        let ghost_way = (ghost_way != NO_WAY).then_some(ghost_way);
 
-        if let Some(i) = hit_way {
+        if hit_way != NO_WAY {
             if self.decay.is_none() {
-                return self.plain_hit(i, kind, stamp);
+                return self.plain_hit(hit_way, kind, stamp);
             }
-            return self.hit(i, kind, now, stamp);
+            return self.hit(hit_way, kind, now, stamp);
         }
 
         // Miss path.
@@ -886,7 +918,7 @@ impl Cache {
 
     /// Non-mutating lookup: returns whether `addr` currently hits live data.
     pub fn probe(&self, addr: u64) -> bool {
-        let (tag, set) = self.cfg.split(addr);
+        let (tag, set) = self.split(addr);
         self.set_range(set)
             .any(|i| self.slab.tag[i] == tag && self.slab.state[i] == STATE_VALID)
     }
@@ -919,7 +951,7 @@ impl Cache {
     /// (resolves transitions read-only; intended for tests and probes, not
     /// the hot path).
     pub fn standby_line_count(&self, now: u64) -> usize {
-        (0..self.cfg.num_lines())
+        (0..self.lines)
             .filter(|&i| match self.slab.mode[i] {
                 LineMode::Standby => true,
                 LineMode::GoingToSleep { until } => now >= until,
@@ -946,7 +978,7 @@ impl Cache {
         let period = self.global.period();
         match decay.policy {
             DecayPolicy::NoAccess => {
-                for i in 0..self.cfg.num_lines() {
+                for i in 0..self.lines {
                     let live = matches!(
                         self.resolved_mode_at(i, self.clock),
                         LineMode::Active | LineMode::Waking { .. }
@@ -1003,7 +1035,7 @@ impl Cache {
     /// Brings the mode-cycle integrals up to `now` for every line. Call at
     /// simulation end (or before re-pricing leakage mid-run).
     pub fn snapshot(&mut self, now: u64) {
-        for i in 0..self.cfg.num_lines() {
+        for i in 0..self.lines {
             self.settle_line(i, now);
         }
     }
@@ -1037,7 +1069,7 @@ impl Cache {
             "cache",
             crate::audit::check_cache_stats(
                 &self.stats,
-                self.cfg.num_lines() as u64,
+                self.lines as u64,
                 self.finalized_at,
                 self.decay.is_some(),
             ),

@@ -3,11 +3,12 @@
 //! A [`SpecTrace`] is a pure function of `(benchmark, seed)`, and a study
 //! replays the identical stream once per technique/interval point: the
 //! baseline, drowsy and gated runs of one benchmark each regenerate the
-//! same instructions from scratch. Generation costs on the order of
-//! 80 ns per instruction — comparable to the whole rest of the timing
-//! model — so the engines replay each stream from a shared in-memory
-//! buffer instead: generate once per `(benchmark, seed)`, replay from a
-//! flat array of packed ops everywhere else.
+//! same instructions from scratch. Generation costs 90–100 ns per
+//! instruction on a 2-vCPU VM, more than the ~70 ns the core and its
+//! caches take to simulate one, so the engines replay each stream from
+//! a shared in-memory buffer instead: generate once per
+//! `(benchmark, seed)`, replay from a flat array of packed ops
+//! everywhere else.
 //!
 //! Each buffered op is one `u64`, a quarter of a [`MicroOp`]:
 //!

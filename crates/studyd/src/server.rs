@@ -11,7 +11,9 @@
 //! thread-spawning primitive — executes jobs. The [`simcore::Study`]
 //! inside the server runs with one engine thread: parallelism comes from
 //! the pool, so concurrent requests interleave at job granularity while
-//! each individual run stays deterministic.
+//! each individual run stays deterministic. A panic inside the engine
+//! while a worker serves a job becomes that job's error reply, counted
+//! as `failed`, and the worker takes the next job.
 //!
 //! ## Cancellation
 //!
@@ -30,8 +32,10 @@
 //! drain every accepted job — each one still gets its response — and
 //! returns the final [`StatsReport`].
 
+use std::any::Any;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
 
@@ -45,7 +49,7 @@ use std::sync::{atomic::AtomicBool, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use simcore::{RequestKind, Study, StudyConfig, StudyRequest};
+use simcore::{RequestKind, Study, StudyConfig, StudyError, StudyRequest, StudyResponse};
 
 use crate::protocol::{self, Envelope, WireRequest, MAX_LINE_BYTES, RETRY_AFTER_MS};
 use crate::queue::{JobQueue, PushError};
@@ -309,34 +313,81 @@ fn worker_loop(shared: &Shared) {
             shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
             continue;
         }
-        shared.stats.in_flight.fetch_add(1, Ordering::Relaxed);
-        let start = Instant::now();
-        let outcome = shared.study.serve(&job.request);
-        shared.stats.record_latency(job.kind, start.elapsed());
-        shared.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-        let line = match &outcome {
-            Ok(response) => protocol::ok_line(job.id, response),
-            Err(e) => protocol::err_line(job.id, &e.to_string()),
-        };
+        let reply = serve_job(&shared.stats, job.kind, job.id, || {
+            shared.study.serve(&job.request)
+        });
         // Counted before the writer unlocks: a `stats` reply this
         // connection asks for after reading the line counts it too.
         let mut writer = lock(&job.conn.writer);
         #[cfg(not(mutant = "dropped-response-bug"))]
-        let delivered = job.conn.write_locked(&mut writer, &line);
+        let delivered = job.conn.write_locked(&mut writer, &reply.line);
         // Seeded bug for the CI negative smoke: the first job each server
         // serves "forgets" to write its response yet counts it delivered.
         // The delivery test must turn this into a failure.
         #[cfg(mutant = "dropped-response-bug")]
         let delivered = !shared.dropped_one.swap(true, Ordering::SeqCst)
-            || job.conn.write_locked(&mut writer, &line);
-        let counter = match (delivered, &outcome) {
-            (false, _) => &shared.stats.undelivered,
-            (true, Ok(_)) => &shared.stats.completed,
-            (true, Err(_)) => &shared.stats.failed,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+            || job.conn.write_locked(&mut writer, &reply.line);
+        count_reply(&shared.stats, delivered, reply.served);
         drop(writer);
     }
+}
+
+/// A job's reply line, and whether the engine served the request.
+struct Reply {
+    line: String,
+    served: bool,
+}
+
+/// Serves one job through `serve` and renders its reply line. A panic
+/// inside the engine becomes an error line, as an engine error does: the
+/// request still gets its reply, `in_flight` comes back down, and the
+/// worker lives on to take the next job.
+fn serve_job(
+    stats: &ServerStats,
+    kind: RequestKind,
+    id: u64,
+    serve: impl FnOnce() -> Result<StudyResponse, StudyError>,
+) -> Reply {
+    stats.in_flight.fetch_add(1, Ordering::Relaxed);
+    let start = Instant::now();
+    // The study stays usable after a panicking run: the run cache's
+    // pending-slot guard releases the run's key as the panic unwinds, and
+    // no lock is held across a run.
+    let outcome = panic::catch_unwind(AssertUnwindSafe(serve));
+    stats.record_latency(kind, start.elapsed());
+    stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+    let (line, served) = match outcome {
+        Ok(Ok(response)) => (protocol::ok_line(id, &response), true),
+        Ok(Err(e)) => (protocol::err_line(id, &e.to_string()), false),
+        Err(payload) => {
+            let message = format!("internal error: {}", panic_message(payload.as_ref()));
+            (protocol::err_line(id, &message), false)
+        }
+    };
+    Reply { line, served }
+}
+
+/// The message a panic carries, if it is a string.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    if let Some(message) = payload.downcast_ref::<&str>() {
+        message
+    } else if let Some(message) = payload.downcast_ref::<String>() {
+        message
+    } else {
+        "the engine panicked"
+    }
+}
+
+/// Counts a served job's outcome: every accepted job that is not
+/// cancelled ends in exactly one of `completed`, `failed` and
+/// `undelivered`.
+fn count_reply(stats: &ServerStats, delivered: bool, served: bool) {
+    let counter = match (delivered, served) {
+        (false, _) => &stats.undelivered,
+        (true, true) => &stats.completed,
+        (true, false) => &stats.failed,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
@@ -529,5 +580,48 @@ fn serve_line(shared: &Arc<Shared>, conn: &Arc<Conn>, line: &str) -> bool {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{parse_reply, WireReply};
+
+    #[test]
+    fn a_panicking_job_gets_an_error_reply_and_the_worker_goes_on() {
+        let stats = ServerStats::new();
+        stats.accepted.fetch_add(2, Ordering::Relaxed);
+        let reply = serve_job(&stats, RequestKind::Compare, 7, || {
+            panic!("a seeded engine panic")
+        });
+        assert!(!reply.served);
+        match parse_reply(reply.line.trim()) {
+            Ok((7, WireReply::Err(message))) => {
+                assert!(message.contains("a seeded engine panic"), "{message}");
+            }
+            other => panic!("expected an error reply to job 7, got {other:?}"),
+        }
+        count_reply(&stats, true, reply.served);
+
+        // The same worker serves the next job.
+        let next = serve_job(&stats, RequestKind::Compare, 8, || {
+            Err(StudyError::EmptyIntervalList)
+        });
+        assert!(matches!(
+            parse_reply(next.line.trim()),
+            Ok((8, WireReply::Err(_)))
+        ));
+        count_reply(&stats, false, next.served);
+
+        let report = stats.report(0, simcore::RunCacheCounters::default(), None, None);
+        assert_eq!(report.in_flight, 0);
+        assert_eq!(report.failed, 1);
+        assert_eq!(report.undelivered, 1);
+        assert_eq!(
+            report.completed + report.failed + report.cancelled + report.undelivered,
+            report.accepted,
+            "every accepted job ends in exactly one outcome"
+        );
     }
 }

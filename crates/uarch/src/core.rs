@@ -1,7 +1,5 @@
 //! The one-pass out-of-order timing engine.
 
-use std::collections::VecDeque;
-
 use cachesim::{AccessKind, Hierarchy, HierarchyConfig};
 use serde::{Deserialize, Serialize};
 
@@ -67,12 +65,12 @@ pub struct Core {
     mshrs: crate::resources::UnitPool,
     hierarchy: Hierarchy,
     /// Completion time of the youngest writer of each architectural
-    /// register.
-    reg_ready: [u64; NUM_REGS],
-    /// Commit times of in-flight window entries (oldest first).
-    ruu: VecDeque<u64>,
+    /// register, then the [`NO_SRC`] and [`NO_DEST`] slots.
+    reg_ready: [u64; NUM_REGS + 2],
+    /// Commit times of in-flight window entries.
+    ruu: Window,
     /// Commit times of in-flight memory ops.
-    lsq: VecDeque<u64>,
+    lsq: Window,
     /// Earliest cycle the fetch unit may fetch the next instruction
     /// (pushed forward by I-cache misses and mispredict redirects).
     fetch_ready: u64,
@@ -82,11 +80,67 @@ pub struct Core {
     /// Commit time of the most recently processed instruction (in-order
     /// commit floor).
     last_commit: u64,
+    /// Ops of each class processed since [`Core::run`] last folded them
+    /// into `stats`, by [`OpClass`] discriminant.
+    class_counts: [u64; OpClass::ALL.len()],
     stats: CoreStats,
+}
+
+/// The `reg_ready` slot an absent source reads: it stays 0, which delays
+/// nothing.
+const NO_SRC: usize = NUM_REGS;
+/// The `reg_ready` slot an absent destination writes: nothing reads it.
+const NO_DEST: usize = NUM_REGS + 1;
+
+/// The `reg_ready` slot of `reg`, or `absent` for no register.
+fn reg_slot(reg: Option<u8>, absent: usize) -> usize {
+    reg.map_or(absent, |r| usize::from(r) % NUM_REGS)
+}
+
+/// The commit times of a window's (RUU or LSQ) last `capacity` entries in
+/// a fixed ring: a new entry takes the slot of the oldest, so a full
+/// window's retire-then-insert is one read and one write of one slot.
+#[derive(Debug)]
+struct Window {
+    /// `capacity` entries in ring order, then a slot that only skipped
+    /// insertions write.
+    commits: Vec<u64>,
+    /// The slot the next entry takes.
+    next: usize,
+}
+
+impl Window {
+    fn new(capacity: usize, what: &str) -> Self {
+        assert!(capacity > 0, "the {what} needs at least one entry");
+        Window {
+            commits: vec![0; capacity + 1],
+            next: 0,
+        }
+    }
+
+    /// When the slot a new entry takes frees: the oldest entry's commit
+    /// time once the window is full, and 0, which bounds nothing, before.
+    fn frees_at(&self) -> u64 {
+        self.commits[self.next]
+    }
+
+    /// Inserts an entry committing at `commit_at` if `taken`; otherwise
+    /// leaves the window as it was.
+    fn insert_if(&mut self, taken: bool, commit_at: u64) {
+        let capacity = self.commits.len() - 1;
+        self.commits[if taken { self.next } else { capacity }] = commit_at;
+        let next = self.next + usize::from(taken);
+        self.next = if next == capacity { 0 } else { next };
+    }
 }
 
 impl Core {
     /// Builds a core over the given hierarchy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.ruu_size` or `cfg.lsq_size` is zero: such a window
+    /// could hold no instruction.
     pub fn new(cfg: CoreConfig, hierarchy: Hierarchy) -> Self {
         Core {
             cfg,
@@ -98,12 +152,13 @@ impl Core {
             commit_slots: InOrderSlots::new(cfg.width),
             mshrs: crate::resources::UnitPool::new(cfg.mshrs.max(1)),
             hierarchy,
-            reg_ready: [0; NUM_REGS],
-            ruu: VecDeque::with_capacity(cfg.ruu_size),
-            lsq: VecDeque::with_capacity(cfg.lsq_size),
+            reg_ready: [0; NUM_REGS + 2],
+            ruu: Window::new(cfg.ruu_size, "RUU"),
+            lsq: Window::new(cfg.lsq_size, "LSQ"),
             fetch_ready: 0,
             last_fetch_line: u64::MAX,
             last_commit: 0,
+            class_counts: [0; OpClass::ALL.len()],
             stats: CoreStats::default(),
         }
     }
@@ -142,6 +197,7 @@ impl Core {
             let Some(op) = trace.next_op() else { break };
             self.step(&op);
         }
+        self.fold_class_counts();
         // Close out: bring decay/leakage integrals up to the final cycle.
         // finalize also drains decay writebacks still pending after the
         // last data access; charge them as L2 traffic like any other.
@@ -161,9 +217,30 @@ impl Core {
         self.hierarchy.audit()
     }
 
+    /// Adds the per-class op counts to `stats` and clears them.
+    fn fold_class_counts(&mut self) {
+        use OpClass::*;
+        let n = std::mem::take(&mut self.class_counts);
+        let sum = |classes: &[OpClass]| classes.iter().map(|&c| n[c as usize]).sum::<u64>();
+        self.stats.loads += n[Load as usize];
+        self.stats.stores += n[Store as usize];
+        self.stats.int_ops += sum(&[IntAlu, IntMult, IntDiv]);
+        self.stats.fp_ops += sum(&[FpAlu, FpMult, FpDiv]);
+        self.stats.branches += sum(&[Branch, Call, Return]);
+        self.stats.committed += n.iter().sum::<u64>();
+    }
+
     /// Processes a single instruction through the pipeline timing model.
+    ///
+    /// The op stream is pseudo-random, so a branch on its class or on
+    /// whether it names a register mispredicts often. Only the steps
+    /// with side effects branch (the cache accesses of loads and stores,
+    /// the predictor for control ops); the rest pick with selects,
+    /// per-class counters and the `reg_ready` slots of absent registers.
     fn step(&mut self, op: &MicroOp) {
         let line_mask = !63u64;
+        self.class_counts[op.class as usize] += 1;
+        let is_mem = op.class.is_mem();
 
         // ---- Fetch ----
         let mut fetch_at = self.fetch_slots.book(self.fetch_ready);
@@ -182,65 +259,42 @@ impl Core {
         }
 
         // ---- Dispatch (rename + window allocation) ----
-        let mut earliest_dispatch = fetch_at + 1;
-        if self.ruu.len() == self.cfg.ruu_size {
-            // Oldest window entry must commit to free a slot.
-            // lint: allow(unwrap): a full RUU is by definition non-empty
-            let frees_at = self.ruu.pop_front().expect("ruu full implies non-empty");
-            earliest_dispatch = earliest_dispatch.max(frees_at);
-        }
-        if op.class.is_mem() && self.lsq.len() == self.cfg.lsq_size {
-            // lint: allow(unwrap): a full LSQ is by definition non-empty
-            let frees_at = self.lsq.pop_front().expect("lsq full implies non-empty");
-            earliest_dispatch = earliest_dispatch.max(frees_at);
-        }
+        // With the RUU full, the oldest entry must commit to free a slot;
+        // a memory op needs an LSQ slot too.
+        let lsq_frees_at = if is_mem { self.lsq.frees_at() } else { 0 };
+        let earliest_dispatch = (fetch_at + 1).max(self.ruu.frees_at()).max(lsq_frees_at);
         let dispatch_at = self.dispatch_slots.book(earliest_dispatch);
 
         // ---- Issue (operands + FU + issue bandwidth) ----
-        let mut operands_ready = dispatch_at + 1;
-        for src in [op.src1, op.src2].into_iter().flatten() {
-            operands_ready = operands_ready.max(self.reg_ready[src as usize % NUM_REGS]);
-            self.stats.rf_reads += 1;
-        }
+        let operands_ready = (dispatch_at + 1)
+            .max(self.reg_ready[reg_slot(op.src1, NO_SRC)])
+            .max(self.reg_ready[reg_slot(op.src2, NO_SRC)]);
+        self.stats.rf_reads += u64::from(op.src1.is_some()) + u64::from(op.src2.is_some());
         let fu_start = self.fu.book(op.class, operands_ready);
         let issue_at = self.issue_slots.book(fu_start);
 
         // ---- Execute / memory ----
-        let complete_at = match op.class {
-            OpClass::Load => {
-                self.stats.loads += 1;
-                let out = self
-                    .hierarchy
-                    .data_access(op.mem_addr, AccessKind::Read, issue_at);
-                self.note_data_outcome(&out);
-                if out.l1_miss {
-                    // The fill occupies an MSHR; with all MSHRs busy the
-                    // miss waits for one, capping miss-level parallelism.
-                    let start = self.mshrs.book(issue_at, out.latency as u64);
-                    start + out.latency as u64
-                } else {
-                    issue_at + out.latency as u64
-                }
+        let complete_at = if op.class == OpClass::Load {
+            let out = self
+                .hierarchy
+                .data_access(op.mem_addr, AccessKind::Read, issue_at);
+            self.note_data_outcome(&out);
+            let latency = u64::from(out.latency);
+            if out.l1_miss {
+                // The fill occupies an MSHR; with all MSHRs busy the
+                // miss waits for one, capping miss-level parallelism.
+                self.mshrs.book(issue_at, latency) + latency
+            } else {
+                issue_at + latency
             }
-            OpClass::Store => {
-                self.stats.stores += 1;
-                // Address generation only; the write retires from the store
-                // buffer after commit (performed below).
-                issue_at + 1
-            }
-            class => {
-                match class {
-                    OpClass::FpAlu | OpClass::FpMult | OpClass::FpDiv => self.stats.fp_ops += 1,
-                    c if !c.is_control() => self.stats.int_ops += 1,
-                    _ => {} // control ops are counted via `branches`
-                }
-                issue_at + class.latency() as u64
-            }
+        } else {
+            // A store only generates its address here; its write retires
+            // from the store buffer after commit (performed below).
+            issue_at + u64::from(op.class.latency())
         };
 
         // ---- Control resolution ----
         if op.class.is_control() {
-            self.stats.branches += 1;
             let pred = self.bpred.predict_and_update(op);
             if !pred.correct && !self.cfg.perfect_bpred {
                 self.stats.mispredicts += 1;
@@ -269,30 +323,19 @@ impl Core {
         }
 
         // ---- Bookkeeping ----
-        if let Some(d) = op.dest {
-            self.reg_ready[d as usize % NUM_REGS] = complete_at;
-            self.stats.rf_writes += 1;
-        }
-        self.ruu.push_back(commit_at);
-        if op.class.is_mem() {
-            self.lsq.push_back(commit_at);
-        }
-        self.stats.committed += 1;
+        self.reg_ready[reg_slot(op.dest, NO_DEST)] = complete_at;
+        self.stats.rf_writes += u64::from(op.dest.is_some());
+        self.ruu.insert_if(true, commit_at);
+        self.lsq.insert_if(is_mem, commit_at);
     }
 
     fn note_data_outcome(&mut self, out: &cachesim::DataAccessOutcome) {
         self.stats.l2_accesses += out.l2_accesses as u64;
         self.stats.mem_accesses += out.mem_accesses as u64;
         self.stats.tag_probes += out.tag_probes as u64;
-        if out.l1_miss {
-            self.stats.l1d_misses += 1;
-        }
-        if out.induced {
-            self.stats.induced_misses += 1;
-        }
-        if out.woke_line {
-            self.stats.line_wakes += 1;
-        }
+        self.stats.l1d_misses += u64::from(out.l1_miss);
+        self.stats.induced_misses += u64::from(out.induced);
+        self.stats.line_wakes += u64::from(out.woke_line);
     }
 }
 
@@ -535,6 +578,34 @@ mod tests {
             "drained writebacks are charged as L2 traffic"
         );
         core.audit().expect("post-run accounting conserves");
+    }
+
+    #[test]
+    #[should_panic(expected = "the RUU needs at least one entry")]
+    fn zero_entry_ruu_panics() {
+        let hierarchy =
+            cachesim::Hierarchy::new(cachesim::HierarchyConfig::table2(11, None)).unwrap();
+        Core::new(
+            CoreConfig {
+                ruu_size: 0,
+                ..CoreConfig::table2()
+            },
+            hierarchy,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "the LSQ needs at least one entry")]
+    fn zero_entry_lsq_panics() {
+        let hierarchy =
+            cachesim::Hierarchy::new(cachesim::HierarchyConfig::table2(11, None)).unwrap();
+        Core::new(
+            CoreConfig {
+                lsq_size: 0,
+                ..CoreConfig::table2()
+            },
+            hierarchy,
+        );
     }
 
     #[test]

@@ -33,6 +33,21 @@ pub enum OpClass {
 }
 
 impl OpClass {
+    /// Every class, in declaration order, so `ALL[c as usize] == c`.
+    pub const ALL: [OpClass; 11] = [
+        OpClass::IntAlu,
+        OpClass::IntMult,
+        OpClass::IntDiv,
+        OpClass::FpAlu,
+        OpClass::FpMult,
+        OpClass::FpDiv,
+        OpClass::Load,
+        OpClass::Store,
+        OpClass::Branch,
+        OpClass::Call,
+        OpClass::Return,
+    ];
+
     /// Whether the op references memory.
     pub fn is_mem(self) -> bool {
         matches!(self, OpClass::Load | OpClass::Store)
@@ -44,7 +59,7 @@ impl OpClass {
     }
 
     /// Execution latency in cycles, excluding memory time.
-    pub fn latency(self) -> u32 {
+    pub const fn latency(self) -> u32 {
         match self {
             OpClass::IntAlu => 1,
             OpClass::IntMult => 3,
@@ -60,7 +75,7 @@ impl OpClass {
 
     /// Whether the op holds its functional unit for its whole latency
     /// (unpipelined units).
-    pub fn unpipelined(self) -> bool {
+    pub const fn unpipelined(self) -> bool {
         matches!(self, OpClass::IntDiv | OpClass::FpDiv)
     }
 }
@@ -158,6 +173,13 @@ mod tests {
         assert!(!OpClass::Load.is_control());
         assert!(OpClass::IntDiv.unpipelined());
         assert!(!OpClass::IntMult.unpipelined());
+    }
+
+    #[test]
+    fn all_is_in_discriminant_order() {
+        for (i, class) in OpClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i, "{class:?}");
+        }
     }
 
     #[test]
