@@ -28,10 +28,10 @@
 //!    zero sleeps, wakes, slow hits, induced misses, decay writebacks,
 //!    tag probes, and counter activity.
 //! 6. **Schedule coherence** — the timing wheel's pending events must
-//!    agree with the line slab's derived deadlines: every live line's
-//!    decay event sits at the wrap its counter saturates, and every
-//!    unexpired transition has its expiry scheduled (checked structurally
-//!    by [`crate::Cache::schedule_coherence`], reported here as
+//!    agree with the decay state's derived deadlines: every live line's
+//!    decay event sits at the wrap its counter saturates, and the `Simple`
+//!    flush on the next full interval (checked structurally by
+//!    [`crate::Cache::schedule_coherence`], reported here as
 //!    [`AuditViolation::DecayScheduleDrift`]).
 
 use std::error::Error;
@@ -88,7 +88,7 @@ pub enum AuditViolation {
         /// writebacks + tag probes + counter events observed.
         events: u64,
     },
-    /// The timing wheel's schedule disagrees with the line slab's derived
+    /// The timing wheel's schedule disagrees with the decay state's derived
     /// deadlines (a decay reschedule was dropped or a stale event kept).
     DecayScheduleDrift {
         /// Description of the first drift found.

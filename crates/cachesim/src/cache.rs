@@ -3,11 +3,15 @@
 //!
 //! ## Data-oriented hot path
 //!
-//! Line state lives in a struct-of-arrays slab ([`LineSlab`]): parallel,
-//! contiguous arrays (way-major, so each set is a contiguous stripe) for
-//! tags, data-state bytes, packed dirty bits, power modes, and decay
-//! bookkeeping. All of it is allocated once at construction; the steady
-//! state allocates nothing.
+//! Every cache keeps its lines in a struct-of-arrays slab ([`LineSlab`]):
+//! parallel, contiguous arrays (way-major, so each set is a contiguous
+//! stripe) of tags, data-state bytes, packed dirty bits and LRU stamps.
+//! Only a cache with decay also has a [`DecayState`]: its
+//! [`DecayConfig`], per-line power modes and counter bookkeeping in arrays
+//! of the same layout, the global counter and the timing wheel. A cache
+//! without decay (the study's L1I and L2, and the baseline L1D) holds none
+//! of it. All of it is allocated once at construction; the steady state
+//! allocates nothing.
 //!
 //! Decay deadlines are not found by sweeping lines. A hierarchical timing
 //! wheel ([`crate::wheel::TimingWheel`]) schedules exactly the events that
@@ -41,6 +45,12 @@
 //! integrals are exact — nothing is sampled — and settlement is additive
 //! over mode segments, so event-driven settlement order produces bitwise
 //! the same [`CacheStats`] as a per-wrap full sweep.
+//!
+//! A cache without decay never changes a line's mode: every line is
+//! `Active` from cycle 0. Its whole integral at a close at cycle `t` is
+//! therefore `lines × t`, which [`Cache::snapshot`] and [`Cache::finalize`]
+//! set in O(1) without visiting a line. Both close at the later of the
+//! cycle asked for and the cache's clock, the latest cycle it has seen.
 //!
 //! [`ModeCycles`]: crate::stats::ModeCycles
 //!
@@ -117,6 +127,9 @@ pub enum LineDataView {
 }
 
 /// Read-only snapshot of one line's internal state ([`Cache::line_view`]).
+///
+/// A line of a cache without decay has no power state of its own: it
+/// reads as `Active` since cycle 0, with its two-bit counter at 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LineView {
     /// The resident (or ghost) tag.
@@ -156,9 +169,10 @@ const STATE_GHOST: u8 = 2;
 /// The way index of no way.
 const NO_WAY: usize = usize::MAX;
 
-/// Struct-of-arrays line storage: one entry per line in way-major order
-/// (line `set * assoc + way`), so a set's ways are contiguous in every
-/// array. Allocated once at construction; never grows.
+/// Struct-of-arrays storage of what every cache keeps per line: one entry
+/// per line in way-major order (line `set * assoc + way`), so a set's ways
+/// are contiguous in every array. Allocated once at construction; never
+/// grows.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct LineSlab {
     /// Resident (or ghost) tag.
@@ -167,18 +181,6 @@ struct LineSlab {
     state: Vec<u8>,
     /// Packed dirty bits, one per line (meaningful only for valid lines).
     dirty: Vec<u64>,
-    /// Raw power mode (resolved lazily; see module docs).
-    mode: Vec<LineMode>,
-    /// Cycle the current mode began (mode-cycle integrals are settled up
-    /// to here).
-    mode_since: Vec<u64>,
-    /// Two-bit counter value at the last reset (non-zero only when a
-    /// regime change materializes stale progress; see
-    /// [`Cache::set_decay_interval`]).
-    base_count: Vec<u8>,
-    /// Global wrap count at the line's last counter reset; the current
-    /// counter is derived as `min(base + wraps - reset_sweep, 3)`.
-    reset_sweep: Vec<u64>,
     /// Monotone recency stamp (larger = more recently used).
     lru_stamp: Vec<u64>,
 }
@@ -189,10 +191,6 @@ impl LineSlab {
             tag: vec![0; n],
             state: vec![STATE_EMPTY; n],
             dirty: vec![0; n.div_ceil(64)],
-            mode: vec![LineMode::Active; n],
-            mode_since: vec![0; n],
-            base_count: vec![0; n],
-            reset_sweep: vec![0; n],
             lru_stamp: vec![0; n],
         }
     }
@@ -210,6 +208,487 @@ impl LineSlab {
     }
 }
 
+/// Everything a cache has only under decay: the configuration, the
+/// per-line power state (arrays in [`LineSlab`]'s layout), the counter
+/// and the event schedule.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct DecayState {
+    cfg: DecayConfig,
+    /// Raw power mode (resolved lazily; see module docs).
+    mode: Vec<LineMode>,
+    /// Cycle the current mode began (mode-cycle integrals are settled up
+    /// to here).
+    mode_since: Vec<u64>,
+    /// Two-bit counter value at the last reset (non-zero only when a
+    /// regime change materializes stale progress; see
+    /// [`Cache::set_decay_interval`]).
+    base_count: Vec<u8>,
+    /// Global wrap count at the line's last counter reset; the current
+    /// counter is derived as `min(base + wraps - reset_sweep, 3)`.
+    reset_sweep: Vec<u64>,
+    global: GlobalCounter,
+    /// Cycle the current counter regime began (construction or the last
+    /// [`Cache::set_decay_interval`]); wrap `k` of the regime falls at
+    /// `regime_start + k * period`.
+    regime_start: u64,
+    /// Event schedule. Event ids: line `i`'s decay deadline is `i` and the
+    /// `Simple` flush is `num_lines`. Transition (`GoingToSleep`/`Waking`)
+    /// expiries are deliberately not scheduled: settlement is additive and
+    /// every raw-mode read happens after a settle, so expired transitions
+    /// collapse lazily with identical observables — an expiry event would
+    /// only burn wheel traffic on every sleep and wake.
+    wheel: TimingWheel,
+}
+
+/// Attributes elapsed line-cycles up to `now` and resolves any completed
+/// transition. Settlement is additive over mode segments, so calling this
+/// at every event or only at the end yields the same integrals.
+fn settle(mode: &mut LineMode, mode_since: &mut u64, stats: &mut CacheStats, now: u64) {
+    let mut since = *mode_since;
+    if since >= now {
+        return;
+    }
+    loop {
+        match *mode {
+            LineMode::Active => {
+                stats.mode_cycles.active += Cycles::new(now - since);
+                break;
+            }
+            LineMode::Standby => {
+                stats.mode_cycles.standby += Cycles::new(now - since);
+                break;
+            }
+            LineMode::GoingToSleep { until } => {
+                if now <= until {
+                    stats.mode_cycles.transitioning += Cycles::new(now - since);
+                    break;
+                }
+                stats.mode_cycles.transitioning += Cycles::new(until - since);
+                *mode = LineMode::Standby;
+                since = until;
+            }
+            LineMode::Waking { until } => {
+                if now <= until {
+                    stats.mode_cycles.transitioning += Cycles::new(now - since);
+                    break;
+                }
+                stats.mode_cycles.transitioning += Cycles::new(until - since);
+                *mode = LineMode::Active;
+                since = until;
+            }
+        }
+    }
+    *mode_since = now;
+}
+
+impl DecayState {
+    /// The decay state of `lines` lines, all `Active` since cycle 0 with
+    /// fresh counters and their first deadlines scheduled.
+    fn new(cfg: DecayConfig, lines: usize) -> Self {
+        let mut state = DecayState {
+            cfg,
+            mode: vec![LineMode::Active; lines],
+            mode_since: vec![0; lines],
+            base_count: vec![0; lines],
+            reset_sweep: vec![0; lines],
+            global: GlobalCounter::new(cfg.quarter_interval()),
+            regime_start: 0,
+            wheel: TimingWheel::new(lines + 1),
+        };
+        state.rebuild_schedule(0);
+        state
+    }
+
+    fn lines(&self) -> usize {
+        self.mode.len()
+    }
+
+    /// Event id of line `i`'s decay deadline.
+    fn decay_event_id(i: usize) -> u32 {
+        i as u32
+    }
+
+    /// Event id of the `Simple` policy's recurring full-interval flush.
+    fn flush_event_id(&self) -> u32 {
+        self.lines() as u32
+    }
+
+    /// Absolute cycle of regime wrap number `wrap`.
+    fn wrap_cycle(&self, wrap: u64) -> u64 {
+        self.regime_start
+            .saturating_add(wrap.saturating_mul(self.global.period()))
+    }
+
+    /// Line `i`'s two-bit counter as of the current clock, derived from its
+    /// last reset point (see the module docs).
+    fn local_counter(&self, i: usize) -> u8 {
+        match self.cfg.policy {
+            DecayPolicy::NoAccess => {
+                let ticks = self.global.wraps.saturating_sub(self.reset_sweep[i]);
+                (u64::from(self.base_count[i]) + ticks).min(u64::from(LOCAL_COUNTER_MAX)) as u8
+            }
+            DecayPolicy::Simple => self.base_count[i],
+        }
+    }
+
+    /// The wrap cycle at which line `i`'s counter saturates and the line
+    /// decays (given no further access). A line whose base is already
+    /// saturated decays at the next wrap.
+    fn decay_deadline(&self, i: usize) -> u64 {
+        let remaining = u64::from(LOCAL_COUNTER_MAX.saturating_sub(self.base_count[i])).max(1);
+        self.wrap_cycle(self.reset_sweep[i].saturating_add(remaining))
+    }
+
+    /// (Re)schedules line `i`'s decay deadline from its current counter
+    /// state. O(1).
+    fn reschedule_decay(&mut self, i: usize) {
+        let deadline = self.decay_deadline(i);
+        self.wheel.schedule(Self::decay_event_id(i), deadline);
+    }
+
+    /// Line `i`'s mode at `now` with expired transitions collapsed
+    /// (read-only counterpart of settlement).
+    fn resolved_mode_at(&self, i: usize, now: u64) -> LineMode {
+        match self.mode[i] {
+            LineMode::GoingToSleep { until } if now > until => LineMode::Standby,
+            LineMode::Waking { until } if now > until => LineMode::Active,
+            m => m,
+        }
+    }
+
+    /// [`settle`] for line `i`.
+    fn settle_line(&mut self, stats: &mut CacheStats, i: usize, now: u64) {
+        settle(&mut self.mode[i], &mut self.mode_since[i], stats, now);
+    }
+
+    /// Processes every scheduled decay event in `(clock, now]` at its
+    /// exact cycle, then books the global-counter wraps up to `now`.
+    fn advance(&mut self, slab: &mut LineSlab, stats: &mut CacheStats, now: u64) {
+        // Quiet advances (the common case on the access path) skip the pop
+        // loop outright: `next_due_bound` proves nothing fires by `now`.
+        // The wheel's internal clock then lags ours, which is harmless —
+        // deadlines are absolute, and every schedule is in our future.
+        if self.wheel.next_due_bound() <= now {
+            while let Some((t, id)) = self.wheel.pop_next(now) {
+                self.dispatch(slab, stats, id, t);
+            }
+        }
+        // Bulk counter accounting: each wrap increments every line's
+        // two-bit counter under `noaccess` (the counters themselves are
+        // derived on demand, so only the totals are touched here). The
+        // next-wrap comparison keeps the u64 division off the common
+        // wrap-free advance.
+        if now >= self.wrap_cycle(self.global.wraps.saturating_add(1)) {
+            let wraps_now = (now - self.regime_start) / self.global.period();
+            let newly = wraps_now.saturating_sub(self.global.wraps);
+            self.global.wraps = wraps_now;
+            stats.global_counter_wraps += newly;
+            if self.cfg.policy == DecayPolicy::NoAccess {
+                stats.local_counter_ticks += newly * self.lines() as u64;
+            }
+        }
+    }
+
+    /// Routes one due wheel event to its handler.
+    fn dispatch(&mut self, slab: &mut LineSlab, stats: &mut CacheStats, id: u32, t: u64) {
+        let idx = id as usize;
+        if idx < self.lines() {
+            self.on_decay_deadline(slab, stats, idx, t);
+        } else {
+            self.on_flush(slab, stats, t);
+        }
+    }
+
+    /// Line `i`'s two-bit counter saturated at wrap cycle `t`: deactivate
+    /// it if it is (by then) fully active.
+    fn on_decay_deadline(&mut self, slab: &mut LineSlab, stats: &mut CacheStats, i: usize, t: u64) {
+        self.settle_line(stats, i, t);
+        match self.mode[i] {
+            LineMode::Active => self.deactivate(slab, stats, i, t),
+            LineMode::Waking { .. } => {
+                // Saturated but mid-wake: retry at the next wrap, exactly
+                // as a per-wrap sweep would (a saturated counter keeps
+                // asking until the line is deactivatable or touched).
+                let retry = t.saturating_add(self.global.period());
+                self.wheel.schedule(Self::decay_event_id(i), retry);
+            }
+            _ => {}
+        }
+    }
+
+    /// The `Simple` policy's full-interval flush at wrap cycle `t`:
+    /// deactivate every fully active line, then schedule the next flush one
+    /// interval later.
+    fn on_flush(&mut self, slab: &mut LineSlab, stats: &mut CacheStats, t: u64) {
+        for i in 0..self.lines() {
+            self.settle_line(stats, i, t);
+            if matches!(self.mode[i], LineMode::Active) {
+                self.deactivate(slab, stats, i, t);
+            }
+        }
+        let next = t.saturating_add(self.global.period().saturating_mul(4));
+        let id = self.flush_event_id();
+        self.wheel.schedule(id, next);
+    }
+
+    /// Puts line `i` into standby, handling dirty data per the technique.
+    /// The settle expiry is not scheduled anywhere: lazy settlement
+    /// resolves it at the line's next touch (or `finalize`).
+    fn deactivate(&mut self, slab: &mut LineSlab, stats: &mut CacheStats, i: usize, now: u64) {
+        if self.cfg.behavior == StandbyBehavior::Losing && slab.state[i] == STATE_VALID {
+            if slab.is_dirty(i) {
+                stats.decay_writebacks += 1;
+            }
+            slab.state[i] = STATE_GHOST;
+            slab.set_dirty(i, false);
+        }
+        let until = now + u64::from(self.cfg.sleep_settle_cycles);
+        self.mode[i] = LineMode::GoingToSleep { until };
+        self.mode_since[i] = now;
+        stats.sleeps += 1;
+    }
+
+    /// Starts a new counter regime at `clock` with the interval clamped to
+    /// [`MIN_DECAY_INTERVAL_CYCLES`] (see [`Cache::set_decay_interval`]).
+    fn restart(&mut self, interval_cycles: u64, clock: u64) {
+        // `pre-fix-stale-counter` (CI mutation smoke only) carries each
+        // line's saturation progress into the new regime so the model
+        // checker can demonstrate the original bug; the fixed behavior
+        // restarts every counter.
+        #[cfg(mutant = "pre-fix-stale-counter")]
+        for i in 0..self.lines() {
+            let stale = self.local_counter(i);
+            self.base_count[i] = stale;
+        }
+        #[cfg(not(mutant = "pre-fix-stale-counter"))]
+        for base in &mut self.base_count {
+            *base = 0;
+        }
+        for reset in &mut self.reset_sweep {
+            *reset = 0;
+        }
+        self.cfg.interval_cycles = interval_cycles.max(MIN_DECAY_INTERVAL_CYCLES);
+        self.global = GlobalCounter::new(self.cfg.quarter_interval());
+        self.regime_start = clock;
+        self.rebuild_schedule(clock);
+    }
+
+    /// Rebuilds the wheel's decay/flush schedule from scratch for the
+    /// current regime (construction and interval switches; steady-state
+    /// maintenance is all O(1) incremental).
+    fn rebuild_schedule(&mut self, clock: u64) {
+        match self.cfg.policy {
+            DecayPolicy::NoAccess => {
+                for i in 0..self.lines() {
+                    let live = matches!(
+                        self.resolved_mode_at(i, clock),
+                        LineMode::Active | LineMode::Waking { .. }
+                    );
+                    if live {
+                        self.reschedule_decay(i);
+                    } else {
+                        self.wheel.cancel(Self::decay_event_id(i));
+                    }
+                }
+            }
+            DecayPolicy::Simple => {
+                let next_flush = self.wrap_cycle(4);
+                let id = self.flush_event_id();
+                self.wheel.schedule(id, next_flush);
+            }
+        }
+    }
+
+    /// Restarts line `i`'s power state for a refill at `now` and returns
+    /// whether the refill wakes a sleeping line.
+    fn refill(&mut self, stats: &mut CacheStats, i: usize, now: u64) -> bool {
+        // The refill overwrites the victim's `mode_since` below: bring its
+        // integral current first (and collapse any expired transition), or
+        // the elapsed segment would be dropped from the mode-cycle totals.
+        // Out-of-order timestamps must not move `mode_since` backwards
+        // past cycles that were already attributed (the integral would
+        // double-count them). A `Waking` victim was already charged its
+        // wake transition by the access that started it waking; counting
+        // it again here would break the sleeps >= wakes pairing and
+        // overcharge transition energy.
+        self.settle_line(stats, i, now);
+        let now = now.max(self.mode_since[i]);
+        let woke = matches!(
+            self.mode[i],
+            LineMode::Standby | LineMode::GoingToSleep { .. }
+        );
+        self.mode[i] = LineMode::Active;
+        self.mode_since[i] = now;
+        self.base_count[i] = 0;
+        self.reset_sweep[i] = self.global.wraps;
+        // O(1) schedule maintenance: the refilled line's idle clock
+        // restarts from this touch.
+        if self.cfg.policy == DecayPolicy::NoAccess {
+            self.reschedule_decay(i);
+        }
+        woke
+    }
+
+    /// Handles a hit on way `i`, including slow hits on standby lines.
+    fn hit(
+        &mut self,
+        slab: &mut LineSlab,
+        stats: &mut CacheStats,
+        i: usize,
+        kind: AccessKind,
+        now: u64,
+        stamp: u64,
+    ) -> AccessResult {
+        // Settle just the hit way: only this line's mode can change here,
+        // and settlement is additive so skipping untouched lines loses
+        // nothing.
+        self.settle_line(stats, i, now);
+        // See `refill`: never rewind past already-accounted cycles.
+        let now = now.max(self.mode_since[i]);
+        let mode = self.mode[i];
+        let (extra, woke, probed_tag) = match mode {
+            // Fast hit: nothing to wake, nothing to wait for.
+            LineMode::Active => (0u32, false, false),
+            // Delayed hit: another access arrived while the line was still
+            // waking; it waits out the remainder (an ordinary hit, but the
+            // wait is a wake stall all the same).
+            LineMode::Waking { until } => ((until - now) as u32, false, false),
+            // Slow hit (state-preserving only — losing lines are ghosts and
+            // never reach here). With decayed tags the tags must be woken
+            // before they can even be checked (≥ wake settle); with live
+            // tags only the data array wakes (1–2 cycles).
+            LineMode::Standby | LineMode::GoingToSleep { .. } => {
+                if self.cfg.tags_decay {
+                    (self.cfg.wake_settle_cycles, true, true)
+                } else {
+                    (
+                        self.cfg.wake_settle_cycles.saturating_sub(1).max(1),
+                        true,
+                        false,
+                    )
+                }
+            }
+        };
+        if woke || matches!(mode, LineMode::Waking { .. }) {
+            let until = now + u64::from(extra);
+            self.mode[i] = LineMode::Waking { until };
+            self.mode_since[i] = now;
+        }
+        if kind == AccessKind::Write {
+            slab.set_dirty(i, true);
+        }
+        // A line that was already live and already touched during the
+        // current wrap derives the same deadline it has scheduled now
+        // (schedule coherence: live line, counter 0), so rescheduling would
+        // cancel-and-relink the identical entry. Skipping that churn keeps
+        // repeated hot-line hits off the wheel entirely. A woken line is
+        // excluded: sleeping lines carry no decay event, so the wake must
+        // schedule one regardless of its counter state.
+        let fresh = !woke && self.base_count[i] == 0 && self.reset_sweep[i] == self.global.wraps;
+        self.base_count[i] = 0;
+        self.reset_sweep[i] = self.global.wraps;
+        slab.lru_stamp[i] = stamp;
+        if !fresh && self.cfg.policy == DecayPolicy::NoAccess {
+            // `wheel-bug` (CI mutation smoke only): drop the reschedule
+            // when a deadline is already pending, so a touched line still
+            // decays at its stale deadline. The differential suite and the
+            // schedule-coherence audit both exist to catch exactly this.
+            #[cfg(mutant = "wheel-bug")]
+            let keep_stale = self.wheel.is_scheduled(Self::decay_event_id(i));
+            #[cfg(not(mutant = "wheel-bug"))]
+            let keep_stale = false;
+            if !keep_stale {
+                self.reschedule_decay(i);
+            }
+        }
+        if woke {
+            stats.wakes += 1;
+            stats.slow_hits += 1;
+        } else {
+            // A deliberately seeded accounting bug for CI's mutation smoke
+            // check: dropping the hit count changes no timing result, so
+            // only the conservation audit can catch it.
+            #[cfg(not(mutant = "seeded-accounting-bug"))]
+            {
+                stats.hits += 1;
+            }
+        }
+        if probed_tag {
+            stats.tag_probes += 1;
+        }
+        // Both slow-hit settles and waking-line remainders stall the access;
+        // charge them all (delayed-hit waits used to be silently dropped).
+        stats.wake_stall_cycles += Cycles::new(u64::from(extra));
+        AccessResult {
+            hit: true,
+            extra_latency: extra,
+            miss: None,
+            writeback: false,
+            tag_probes: probed_tag as u32,
+            woke_line: woke,
+        }
+    }
+
+    /// See [`Cache::schedule_coherence`]; `clock` is the cache's clock.
+    fn schedule_coherence(&self, clock: u64) -> Result<(), String> {
+        let period = self.global.period();
+        match self.cfg.policy {
+            DecayPolicy::NoAccess => {
+                for i in 0..self.lines() {
+                    let live = matches!(
+                        self.resolved_mode_at(i, clock),
+                        LineMode::Active | LineMode::Waking { .. }
+                    );
+                    match (live, self.wheel.deadline_of(Self::decay_event_id(i))) {
+                        (true, None) => {
+                            return Err(format!("live line {i} has no decay deadline"));
+                        }
+                        (true, Some(d)) if self.local_counter(i) < LOCAL_COUNTER_MAX => {
+                            let expect = self.decay_deadline(i);
+                            if d != expect {
+                                return Err(format!(
+                                    "line {i} decay deadline {d} != derived deadline {expect}"
+                                ));
+                            }
+                        }
+                        (true, Some(d)) => {
+                            // Saturated mid-wake lines retry wrap by wrap;
+                            // any future wrap-aligned deadline is coherent.
+                            let aligned = d == u64::MAX
+                                || (d > clock
+                                    && d.saturating_sub(self.regime_start).is_multiple_of(period));
+                            if !aligned {
+                                return Err(format!(
+                                    "saturated line {i} retry deadline {d} is off the wrap grid \
+                                     (clock {clock}, regime start {}, period {period})",
+                                    self.regime_start
+                                ));
+                            }
+                        }
+                        (false, Some(d)) => {
+                            return Err(format!(
+                                "sleeping line {i} still holds a decay deadline at {d}"
+                            ));
+                        }
+                        (false, None) => {}
+                    }
+                }
+            }
+            DecayPolicy::Simple => {
+                let expect = self.wrap_cycle(4 * (self.global.wraps / 4 + 1));
+                match self.wheel.deadline_of(self.flush_event_id()) {
+                    Some(d) if d == expect => {}
+                    Some(d) => {
+                        return Err(format!("flush deadline {d} != next full interval {expect}"));
+                    }
+                    None => return Err("no flush event scheduled".to_string()),
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A single cache level.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Cache {
@@ -221,24 +700,11 @@ pub struct Cache {
     set_mask: u64,
     /// `cfg.num_lines()`, without its division.
     lines: usize,
-    decay: Option<DecayConfig>,
     slab: LineSlab,
-    global: GlobalCounter,
+    decay: Option<DecayState>,
     stats: CacheStats,
     stamp: u64,
     clock: u64,
-    /// Cycle the current counter regime began (construction or the last
-    /// [`Cache::set_decay_interval`]); wrap `k` of the regime falls at
-    /// `regime_start + k * period`.
-    regime_start: u64,
-    /// Event schedule; `Some` iff decay is enabled. Event ids: line `i`'s
-    /// decay deadline is `i` and the `Simple` flush is `num_lines`.
-    /// Transition (`GoingToSleep`/`Waking`) expiries are deliberately not
-    /// scheduled: settlement is additive and every raw-mode read happens
-    /// after a settle, so expired transitions collapse lazily with
-    /// identical observables — an expiry event would only burn wheel
-    /// traffic on every sleep and wake.
-    wheel: Option<TimingWheel>,
     /// The cycle the mode-cycle integrals were last brought fully up to
     /// date at ([`Cache::finalize`]); cleared by any later activity.
     finalized_at: Option<u64>,
@@ -252,27 +718,21 @@ impl Cache {
     /// Returns [`ConfigError`] if the geometry is invalid.
     pub fn new(cfg: CacheConfig, decay: Option<DecayConfig>) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let period = decay.map(|d| d.quarter_interval()).unwrap_or(u64::MAX);
         let n = cfg.num_lines();
         let sets = cfg.num_sets();
-        let mut cache = Cache {
+        Ok(Cache {
             cfg,
             offset_shift: cfg.line_bytes.trailing_zeros(),
             set_shift: sets.trailing_zeros(),
             set_mask: (sets - 1) as u64,
             lines: n,
-            decay,
             slab: LineSlab::new(n),
-            global: GlobalCounter::new(period),
+            decay: decay.map(|d| DecayState::new(d, n)),
             stats: CacheStats::default(),
             stamp: 0,
             clock: 0,
-            regime_start: 0,
-            wheel: decay.map(|_| TimingWheel::new(n + 1)),
             finalized_at: None,
-        };
-        cache.rebuild_schedule();
-        Ok(cache)
+        })
     }
 
     /// The cache's configuration.
@@ -282,120 +742,13 @@ impl Cache {
 
     /// The decay configuration, if leakage control is enabled.
     pub fn decay_config(&self) -> Option<&DecayConfig> {
-        self.decay.as_ref()
+        self.decay.as_ref().map(|d| &d.cfg)
     }
 
     /// Statistics accumulated so far. Mode-cycle integrals are only current
     /// up to the last [`Cache::snapshot`]/[`Cache::finalize`] call.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Event id of line `i`'s decay deadline.
-    fn decay_event_id(i: usize) -> u32 {
-        i as u32
-    }
-
-    /// Event id of the `Simple` policy's recurring full-interval flush.
-    fn flush_event_id(&self) -> u32 {
-        self.lines as u32
-    }
-
-    /// Absolute cycle of regime wrap number `wrap`.
-    fn wrap_cycle(&self, wrap: u64) -> u64 {
-        self.regime_start
-            .saturating_add(wrap.saturating_mul(self.global.period()))
-    }
-
-    /// Line `i`'s two-bit counter as of the current clock, derived from its
-    /// last reset point (see the module docs).
-    fn local_counter(&self, i: usize) -> u8 {
-        match self.decay.map(|d| d.policy) {
-            Some(DecayPolicy::NoAccess) => {
-                let ticks = self.global.wraps.saturating_sub(self.slab.reset_sweep[i]);
-                (u64::from(self.slab.base_count[i]) + ticks).min(u64::from(LOCAL_COUNTER_MAX)) as u8
-            }
-            _ => self.slab.base_count[i],
-        }
-    }
-
-    /// The wrap cycle at which line `i`'s counter saturates and the line
-    /// decays (given no further access). A line whose base is already
-    /// saturated decays at the next wrap.
-    fn decay_deadline(&self, i: usize) -> u64 {
-        let remaining = u64::from(LOCAL_COUNTER_MAX.saturating_sub(self.slab.base_count[i])).max(1);
-        self.wrap_cycle(self.slab.reset_sweep[i].saturating_add(remaining))
-    }
-
-    /// (Re)schedules line `i`'s decay deadline from its current counter
-    /// state. O(1).
-    fn reschedule_decay(&mut self, i: usize) {
-        let deadline = self.decay_deadline(i);
-        if let Some(wheel) = self.wheel.as_mut() {
-            wheel.schedule(Self::decay_event_id(i), deadline);
-        }
-    }
-
-    /// Line `i`'s mode at `now` with expired transitions collapsed
-    /// (read-only counterpart of settlement).
-    fn resolved_mode_at(&self, i: usize, now: u64) -> LineMode {
-        match self.slab.mode[i] {
-            LineMode::GoingToSleep { until } if now > until => LineMode::Standby,
-            LineMode::Waking { until } if now > until => LineMode::Active,
-            m => m,
-        }
-    }
-
-    /// Attributes elapsed line-cycles up to `now` and resolves any
-    /// completed transition. Settlement is additive over mode segments, so
-    /// calling this at every event or only at the end yields the same
-    /// integrals.
-    fn settle(mode: &mut LineMode, mode_since: &mut u64, stats: &mut CacheStats, now: u64) {
-        let mut since = *mode_since;
-        if since >= now {
-            return;
-        }
-        loop {
-            match *mode {
-                LineMode::Active => {
-                    stats.mode_cycles.active += Cycles::new(now - since);
-                    break;
-                }
-                LineMode::Standby => {
-                    stats.mode_cycles.standby += Cycles::new(now - since);
-                    break;
-                }
-                LineMode::GoingToSleep { until } => {
-                    if now <= until {
-                        stats.mode_cycles.transitioning += Cycles::new(now - since);
-                        break;
-                    }
-                    stats.mode_cycles.transitioning += Cycles::new(until - since);
-                    *mode = LineMode::Standby;
-                    since = until;
-                }
-                LineMode::Waking { until } => {
-                    if now <= until {
-                        stats.mode_cycles.transitioning += Cycles::new(now - since);
-                        break;
-                    }
-                    stats.mode_cycles.transitioning += Cycles::new(until - since);
-                    *mode = LineMode::Active;
-                    since = until;
-                }
-            }
-        }
-        *mode_since = now;
-    }
-
-    /// [`Cache::settle`] for line `i` of the slab.
-    fn settle_line(&mut self, i: usize, now: u64) {
-        Self::settle(
-            &mut self.slab.mode[i],
-            &mut self.slab.mode_since[i],
-            &mut self.stats,
-            now,
-        );
     }
 
     /// Advances the decay machinery by one cycle. O(1) unless a scheduled
@@ -412,111 +765,17 @@ impl Cache {
     /// next rather than iterating lines — then sets the clock to `now`.
     /// Lets time-jumping drivers (the one-pass out-of-order model) keep
     /// decay semantics identical to a per-cycle tick loop. Calls with `now`
-    /// in the past are no-ops.
+    /// in the past are no-ops. A cache without decay only moves its clock.
     #[inline]
     pub fn advance_to(&mut self, now: u64) {
-        if self.decay.is_none() || now <= self.clock {
+        if now <= self.clock {
             return;
         }
-        self.advance_to_slow(now);
-    }
-
-    /// Out-of-line body of [`Cache::advance_to`]; split so the early-out
-    /// above inlines into every access instead of paying a call into this
-    /// (large) function just to return.
-    fn advance_to_slow(&mut self, now: u64) {
         self.finalized_at = None;
-        // Quiet advances (the common case on the access path) skip the pop
-        // loop outright: `next_due_bound` proves nothing fires by `now`.
-        // The wheel's internal clock then lags ours, which is harmless —
-        // deadlines are absolute, and every schedule is in our future.
-        let events_due = self
-            .wheel
-            .as_ref()
-            .is_some_and(|wheel| wheel.next_due_bound() <= now);
-        if events_due {
-            if let Some(mut wheel) = self.wheel.take() {
-                while let Some((t, id)) = wheel.pop_next(now) {
-                    self.dispatch(&mut wheel, id, t);
-                }
-                self.wheel = Some(wheel);
-            }
-        }
-        // Bulk counter accounting: each wrap increments every line's
-        // two-bit counter under `noaccess` (the counters themselves are
-        // derived on demand, so only the totals are touched here). The
-        // next-wrap comparison keeps the u64 division off the common
-        // wrap-free advance.
-        if now >= self.wrap_cycle(self.global.wraps.saturating_add(1)) {
-            let wraps_now = (now - self.regime_start) / self.global.period();
-            let newly = wraps_now.saturating_sub(self.global.wraps);
-            self.global.wraps = wraps_now;
-            self.stats.global_counter_wraps += newly;
-            if matches!(self.decay.map(|d| d.policy), Some(DecayPolicy::NoAccess)) {
-                self.stats.local_counter_ticks += newly * self.lines as u64;
-            }
+        if let Some(decay) = self.decay.as_mut() {
+            decay.advance(&mut self.slab, &mut self.stats, now);
         }
         self.clock = now;
-    }
-
-    /// Routes one due wheel event to its handler.
-    fn dispatch(&mut self, wheel: &mut TimingWheel, id: u32, t: u64) {
-        let idx = id as usize;
-        if idx < self.lines {
-            self.on_decay_deadline(wheel, idx, t);
-        } else {
-            self.on_flush(wheel, t);
-        }
-    }
-
-    /// Line `i`'s two-bit counter saturated at wrap cycle `t`: deactivate
-    /// it if it is (by then) fully active.
-    fn on_decay_deadline(&mut self, wheel: &mut TimingWheel, i: usize, t: u64) {
-        self.settle_line(i, t);
-        match self.slab.mode[i] {
-            LineMode::Active => self.deactivate(i, t),
-            LineMode::Waking { .. } => {
-                // Saturated but mid-wake: retry at the next wrap, exactly
-                // as a per-wrap sweep would (a saturated counter keeps
-                // asking until the line is deactivatable or touched).
-                let retry = t.saturating_add(self.global.period());
-                wheel.schedule(Self::decay_event_id(i), retry);
-            }
-            _ => {}
-        }
-    }
-
-    /// The `Simple` policy's full-interval flush at wrap cycle `t`:
-    /// deactivate every fully active line, then schedule the next flush one
-    /// interval later.
-    fn on_flush(&mut self, wheel: &mut TimingWheel, t: u64) {
-        for i in 0..self.lines {
-            self.settle_line(i, t);
-            if matches!(self.slab.mode[i], LineMode::Active) {
-                self.deactivate(i, t);
-            }
-        }
-        let next = t.saturating_add(self.global.period().saturating_mul(4));
-        wheel.schedule(self.flush_event_id(), next);
-    }
-
-    /// Puts line `i` into standby, handling dirty data per the technique.
-    /// The settle expiry is not scheduled anywhere: lazy settlement
-    /// resolves it at the line's next touch (or `finalize`).
-    fn deactivate(&mut self, i: usize, now: u64) {
-        // lint: allow(unwrap): deactivation is only scheduled when decay is configured
-        let decay = self.decay.expect("deactivation requires decay enabled");
-        if decay.behavior == StandbyBehavior::Losing && self.slab.state[i] == STATE_VALID {
-            if self.slab.is_dirty(i) {
-                self.stats.decay_writebacks += 1;
-            }
-            self.slab.state[i] = STATE_GHOST;
-            self.slab.set_dirty(i, false);
-        }
-        let until = now + u64::from(decay.sleep_settle_cycles);
-        self.slab.mode[i] = LineMode::GoingToSleep { until };
-        self.slab.mode_since[i] = now;
-        self.stats.sleeps += 1;
     }
 
     /// The cache's internal clock (latest cycle seen).
@@ -527,14 +786,14 @@ impl Cache {
     /// Phase of the hierarchical counter within the full decay interval:
     /// how many quarter-interval wraps have fired since the counter was
     /// (re)started, modulo 4. The `Simple` policy's full-interval flush
-    /// fires when this wraps to 0.
+    /// fires when this wraps to 0. Always 0 without decay.
     ///
     /// Distinct from `stats().global_counter_wraps % 4`: the stats counter
     /// accumulates across [`Cache::set_decay_interval`] restarts (it prices
     /// counter energy), while this phase restarts with the interval — after
     /// a mid-run switch only this accessor tracks the flush schedule.
     pub fn wrap_phase(&self) -> u64 {
-        self.global.wraps % 4
+        self.decay.as_ref().map_or(0, |d| d.global.wraps % 4)
     }
 
     /// Changes the decay interval at runtime (adaptive decay schemes:
@@ -550,61 +809,8 @@ impl Cache {
     /// progress earned under a short interval into a longer one, decaying
     /// it after a fraction of the interval the controller just asked for.
     pub fn set_decay_interval(&mut self, interval_cycles: u64) {
-        if self.decay.is_none() {
-            return;
-        }
-        // `pre-fix-stale-counter` (CI mutation smoke only) carries each
-        // line's saturation progress into the new regime so the model
-        // checker can demonstrate the original bug; the fixed behavior
-        // restarts every counter.
-        #[cfg(mutant = "pre-fix-stale-counter")]
-        for i in 0..self.lines {
-            let stale = self.local_counter(i);
-            self.slab.base_count[i] = stale;
-        }
-        #[cfg(not(mutant = "pre-fix-stale-counter"))]
-        for base in &mut self.slab.base_count {
-            *base = 0;
-        }
-        for reset in &mut self.slab.reset_sweep {
-            *reset = 0;
-        }
         if let Some(decay) = self.decay.as_mut() {
-            decay.interval_cycles = interval_cycles.max(MIN_DECAY_INTERVAL_CYCLES);
-            self.global = GlobalCounter::new(decay.quarter_interval());
-        }
-        self.regime_start = self.clock;
-        self.rebuild_schedule();
-    }
-
-    /// Rebuilds the wheel's decay/flush schedule from scratch for the
-    /// current regime (construction and interval switches; steady-state
-    /// maintenance is all O(1) incremental).
-    fn rebuild_schedule(&mut self) {
-        let Some(decay) = self.decay else {
-            return;
-        };
-        match decay.policy {
-            DecayPolicy::NoAccess => {
-                for i in 0..self.lines {
-                    let live = matches!(
-                        self.resolved_mode_at(i, self.clock),
-                        LineMode::Active | LineMode::Waking { .. }
-                    );
-                    if live {
-                        self.reschedule_decay(i);
-                    } else if let Some(wheel) = self.wheel.as_mut() {
-                        wheel.cancel(Self::decay_event_id(i));
-                    }
-                }
-            }
-            DecayPolicy::Simple => {
-                let next_flush = self.wrap_cycle(4);
-                let id = self.flush_event_id();
-                if let Some(wheel) = self.wheel.as_mut() {
-                    wheel.schedule(id, next_flush);
-                }
-            }
+            decay.restart(interval_cycles, self.clock);
         }
     }
 
@@ -671,31 +877,31 @@ impl Cache {
         let ghost_way = (ghost_way != NO_WAY).then_some(ghost_way);
 
         if hit_way != NO_WAY {
-            if self.decay.is_none() {
-                return self.plain_hit(hit_way, kind, stamp);
-            }
-            return self.hit(hit_way, kind, now, stamp);
+            return match self.decay.as_mut() {
+                Some(d) => d.hit(&mut self.slab, &mut self.stats, hit_way, kind, now, stamp),
+                None => self.plain_hit(hit_way, kind, stamp),
+            };
         }
 
         // Miss path.
-        let decay = self.decay;
         let mut extra = 0u32;
         let mut tag_probes = 0u32;
-        if let Some(d) = decay {
+        if let Some(d) = &self.decay {
             // State-preserving standby lines hold live data behind decayed
             // tags: the tags must be woken and checked before the miss is
             // known, costing the wake settle time (paper §2.3/§5.1).
             // Non-state-preserving standby ways are knowably empty and are
             // skipped — gated-V_ss is *faster* on true misses.
-            if d.tags_decay && d.behavior == StandbyBehavior::Preserving {
+            if d.cfg.tags_decay && d.cfg.behavior == StandbyBehavior::Preserving {
                 let standby_ways = range
                     .clone()
-                    .filter(|&i| !self.resolved_mode_at(i, now).is_fully_active())
+                    .filter(|&i| !d.resolved_mode_at(i, now).is_fully_active())
                     .count() as u32;
                 if standby_ways > 0 {
-                    extra += d.wake_settle_cycles;
+                    extra += d.cfg.wake_settle_cycles;
                     tag_probes += standby_ways;
-                    self.stats.wake_stall_cycles += Cycles::new(u64::from(d.wake_settle_cycles));
+                    self.stats.wake_stall_cycles +=
+                        Cycles::new(u64::from(d.cfg.wake_settle_cycles));
                     self.stats.tag_probes += standby_ways as u64;
                 }
             }
@@ -717,34 +923,16 @@ impl Cache {
         }
 
         // Refill: the wake (3 cycles) overlaps the next-level fetch, so no
-        // extra latency is charged beyond the stalls above. Out-of-order
-        // timestamps must not move `mode_since` backwards past cycles that
-        // were already attributed (the integral would double-count them).
-        // A `Waking` victim was already charged its wake transition by the
-        // access that started it waking; counting it again here would break
-        // the sleeps >= wakes pairing and overcharge transition energy.
-        // The refill overwrites the victim's `mode_since` below: bring its
-        // integral current first (and collapse any expired transition), or
-        // the elapsed segment would be dropped from the mode-cycle totals.
-        self.settle_line(victim, now);
-        let now = now.max(self.slab.mode_since[victim]);
-        let woke = matches!(
-            self.slab.mode[victim],
-            LineMode::Standby | LineMode::GoingToSleep { .. }
-        );
+        // extra latency is charged beyond the stalls above. A line without
+        // decay stays `Active`, so its refill settles nothing.
+        let woke = match self.decay.as_mut() {
+            Some(d) => d.refill(&mut self.stats, victim, now),
+            None => false,
+        };
         self.slab.tag[victim] = tag;
         self.slab.state[victim] = STATE_VALID;
         self.slab.set_dirty(victim, kind == AccessKind::Write);
-        self.slab.mode[victim] = LineMode::Active;
-        self.slab.mode_since[victim] = now;
-        self.slab.base_count[victim] = 0;
-        self.slab.reset_sweep[victim] = self.global.wraps;
         self.slab.lru_stamp[victim] = stamp;
-        // O(1) schedule maintenance: the refilled line's idle clock
-        // restarts from this touch.
-        if matches!(decay.map(|d| d.policy), Some(DecayPolicy::NoAccess)) {
-            self.reschedule_decay(victim);
-        }
         if woke {
             self.stats.wakes += 1;
         }
@@ -800,101 +988,6 @@ impl Cache {
         }
     }
 
-    /// Handles a hit on way `i`, including slow hits on standby lines.
-    fn hit(&mut self, i: usize, kind: AccessKind, now: u64, stamp: u64) -> AccessResult {
-        let decay = self.decay;
-        // Settle just the hit way: only this line's mode can change here,
-        // and settlement is additive so skipping untouched lines loses
-        // nothing.
-        self.settle_line(i, now);
-        // See the refill path: never rewind past already-accounted cycles.
-        let now = now.max(self.slab.mode_since[i]);
-        let mode = self.slab.mode[i];
-        let (extra, woke, probed_tag) = match mode {
-            // Fast hit: nothing to wake, nothing to wait for.
-            LineMode::Active => (0u32, false, false),
-            // Delayed hit: another access arrived while the line was still
-            // waking; it waits out the remainder (an ordinary hit, but the
-            // wait is a wake stall all the same).
-            LineMode::Waking { until } => ((until - now) as u32, false, false),
-            // Slow hit (state-preserving only — losing lines are ghosts and
-            // never reach here). With decayed tags the tags must be woken
-            // before they can even be checked (≥ wake settle); with live
-            // tags only the data array wakes (1–2 cycles).
-            LineMode::Standby | LineMode::GoingToSleep { .. } => {
-                // lint: allow(unwrap): a Standby line can only exist when decay is configured
-                let d = decay.expect("standby line implies decay enabled");
-                if d.tags_decay {
-                    (d.wake_settle_cycles, true, true)
-                } else {
-                    (d.wake_settle_cycles.saturating_sub(1).max(1), true, false)
-                }
-            }
-        };
-        if woke || matches!(mode, LineMode::Waking { .. }) {
-            let until = now + u64::from(extra);
-            self.slab.mode[i] = LineMode::Waking { until };
-            self.slab.mode_since[i] = now;
-        }
-        if kind == AccessKind::Write {
-            self.slab.set_dirty(i, true);
-        }
-        // A line that was already live and already touched during the
-        // current wrap derives the same deadline it has scheduled now
-        // (schedule coherence: live line, counter 0), so rescheduling would
-        // cancel-and-relink the identical entry. Skipping that churn keeps
-        // repeated hot-line hits off the wheel entirely. A woken line is
-        // excluded: sleeping lines carry no decay event, so the wake must
-        // schedule one regardless of its counter state.
-        let fresh =
-            !woke && self.slab.base_count[i] == 0 && self.slab.reset_sweep[i] == self.global.wraps;
-        self.slab.base_count[i] = 0;
-        self.slab.reset_sweep[i] = self.global.wraps;
-        self.slab.lru_stamp[i] = stamp;
-        if !fresh && matches!(decay.map(|d| d.policy), Some(DecayPolicy::NoAccess)) {
-            // `wheel-bug` (CI mutation smoke only): drop the reschedule
-            // when a deadline is already pending, so a touched line still
-            // decays at its stale deadline. The differential suite and the
-            // schedule-coherence audit both exist to catch exactly this.
-            #[cfg(mutant = "wheel-bug")]
-            let keep_stale = self
-                .wheel
-                .as_ref()
-                .is_some_and(|w| w.is_scheduled(Self::decay_event_id(i)));
-            #[cfg(not(mutant = "wheel-bug"))]
-            let keep_stale = false;
-            if !keep_stale {
-                self.reschedule_decay(i);
-            }
-        }
-        if woke {
-            self.stats.wakes += 1;
-            self.stats.slow_hits += 1;
-        } else {
-            // A deliberately seeded accounting bug for CI's mutation smoke
-            // check: dropping the hit count changes no timing result, so
-            // only the conservation audit can catch it.
-            #[cfg(not(mutant = "seeded-accounting-bug"))]
-            {
-                self.stats.hits += 1;
-            }
-        }
-        if probed_tag {
-            self.stats.tag_probes += 1;
-        }
-        // Both slow-hit settles and waking-line remainders stall the access;
-        // charge them all (delayed-hit waits used to be silently dropped).
-        self.stats.wake_stall_cycles += Cycles::new(u64::from(extra));
-        AccessResult {
-            hit: true,
-            extra_latency: extra,
-            miss: None,
-            writeback: false,
-            tag_probes: probed_tag as u32,
-            woke_line: woke,
-        }
-    }
-
     /// Victim priority: empty ways, then ghosts (data already lost), then
     /// true LRU.
     fn choose_victim(&self, set: usize) -> usize {
@@ -925,8 +1018,13 @@ impl Cache {
 
     /// Read-only view of line `index`'s internal state (way-major order:
     /// line `set * assoc + way`), for the model checker and white-box
-    /// tests. Panics if `index` is out of range.
+    /// tests. A line of a cache without decay reads as `Active` since
+    /// cycle 0 with counter 0. Panics if `index` is out of range.
     pub fn line_view(&self, index: usize) -> LineView {
+        let (mode, mode_since, local_counter) = match &self.decay {
+            Some(d) => (d.mode[index], d.mode_since[index], d.local_counter(index)),
+            None => (LineMode::Active, 0, 0),
+        };
         LineView {
             tag: self.slab.tag[index],
             data: match self.slab.state[index] {
@@ -940,9 +1038,9 @@ impl Cache {
                 STATE_GHOST => LineDataView::Ghost,
                 _ => LineDataView::Empty,
             },
-            mode: self.slab.mode[index],
-            mode_since: self.slab.mode_since[index],
-            local_counter: self.local_counter(index),
+            mode,
+            mode_since,
+            local_counter,
             lru_stamp: self.slab.lru_stamp[index],
         }
     }
@@ -951,102 +1049,75 @@ impl Cache {
     /// (resolves transitions read-only; intended for tests and probes, not
     /// the hot path).
     pub fn standby_line_count(&self, now: u64) -> usize {
-        (0..self.lines)
-            .filter(|&i| match self.slab.mode[i] {
-                LineMode::Standby => true,
-                LineMode::GoingToSleep { until } => now >= until,
-                _ => false,
-            })
-            .count()
+        self.decay.as_ref().map_or(0, |d| {
+            d.mode
+                .iter()
+                .filter(|mode| match **mode {
+                    LineMode::Standby => true,
+                    LineMode::GoingToSleep { until } => now >= until,
+                    _ => false,
+                })
+                .count()
+        })
     }
 
-    /// Checks that the wheel's schedule agrees with the slab's derived
-    /// deadlines: every live line under `noaccess` has its decay event at
-    /// exactly the wrap its counter saturates, and the `Simple` flush sits
-    /// on the next full-interval wrap. (Transition expiries are resolved
-    /// lazily and carry no events — see the `wheel` field.) This is the
-    /// audit-side net for dropped or stale reschedules (the `wheel-bug`
-    /// mutation smoke).
+    /// Checks that the wheel's schedule agrees with the decay state's
+    /// derived deadlines: every live line under `noaccess` has its decay
+    /// event at exactly the wrap its counter saturates, and the `Simple`
+    /// flush sits on the next full-interval wrap. (Transition expiries are
+    /// resolved lazily and carry no events — see `DecayState::wheel`.)
+    /// This is the audit-side net for dropped or stale reschedules (the
+    /// `wheel-bug` mutation smoke). A cache without decay has no schedule
+    /// and always passes.
     ///
     /// # Errors
     ///
     /// Returns a description of the first drift found.
     pub fn schedule_coherence(&self) -> Result<(), String> {
-        let (Some(decay), Some(wheel)) = (self.decay.as_ref(), self.wheel.as_ref()) else {
-            return Ok(());
-        };
-        let period = self.global.period();
-        match decay.policy {
-            DecayPolicy::NoAccess => {
-                for i in 0..self.lines {
-                    let live = matches!(
-                        self.resolved_mode_at(i, self.clock),
-                        LineMode::Active | LineMode::Waking { .. }
-                    );
-                    match (live, wheel.deadline_of(Self::decay_event_id(i))) {
-                        (true, None) => {
-                            return Err(format!("live line {i} has no decay deadline"));
-                        }
-                        (true, Some(d)) if self.local_counter(i) < LOCAL_COUNTER_MAX => {
-                            let expect = self.decay_deadline(i);
-                            if d != expect {
-                                return Err(format!(
-                                    "line {i} decay deadline {d} != derived deadline {expect}"
-                                ));
-                            }
-                        }
-                        (true, Some(d)) => {
-                            // Saturated mid-wake lines retry wrap by wrap;
-                            // any future wrap-aligned deadline is coherent.
-                            let aligned = d == u64::MAX
-                                || (d > self.clock
-                                    && d.saturating_sub(self.regime_start).is_multiple_of(period));
-                            if !aligned {
-                                return Err(format!(
-                                    "saturated line {i} retry deadline {d} is off the wrap grid \
-                                     (clock {}, regime start {}, period {period})",
-                                    self.clock, self.regime_start
-                                ));
-                            }
-                        }
-                        (false, Some(d)) => {
-                            return Err(format!(
-                                "sleeping line {i} still holds a decay deadline at {d}"
-                            ));
-                        }
-                        (false, None) => {}
-                    }
-                }
-            }
-            DecayPolicy::Simple => {
-                let expect = self.wrap_cycle(4 * (self.global.wraps / 4 + 1));
-                match wheel.deadline_of(self.flush_event_id()) {
-                    Some(d) if d == expect => {}
-                    Some(d) => {
-                        return Err(format!("flush deadline {d} != next full interval {expect}"));
-                    }
-                    None => return Err("no flush event scheduled".to_string()),
-                }
-            }
+        match &self.decay {
+            Some(d) => d.schedule_coherence(self.clock),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Brings the mode-cycle integrals up to `now` for every line. Call at
-    /// simulation end (or before re-pricing leakage mid-run).
+    /// Brings the mode-cycle integrals up to the later of `now` and the
+    /// cache's clock (the latest cycle it has seen) for every line. Call
+    /// at simulation end (or before re-pricing leakage mid-run).
+    ///
+    /// A cache without decay does this in O(1): its lines are `Active`
+    /// from cycle 0, so its integral is `lines × t` for the latest cycle
+    /// `t` it has been closed at.
     pub fn snapshot(&mut self, now: u64) {
-        for i in 0..self.lines {
-            self.settle_line(i, now);
-        }
+        self.close(now);
     }
 
     /// [`Cache::snapshot`] at end of run: additionally records the
     /// finalization cycle so the line-cycle conservation law
     /// (`mode_cycles.total() == num_lines × cycle`) becomes checkable.
     pub fn finalize(&mut self, now: u64) {
-        let now = now.max(self.clock);
-        self.snapshot(now);
-        self.finalized_at = Some(now);
+        self.finalized_at = Some(self.close(now));
+    }
+
+    /// The body of [`Cache::snapshot`]; returns the cycle it closed at.
+    fn close(&mut self, now: u64) -> u64 {
+        let at = now.max(self.clock);
+        match self.decay.as_mut() {
+            Some(d) => {
+                for i in 0..self.lines {
+                    d.settle_line(&mut self.stats, i, at);
+                }
+            }
+            None => {
+                // `undecayed-close-bug` (CI mutation smoke only): close at
+                // the cycle asked for, ignoring accesses after it.
+                #[cfg(mutant = "undecayed-close-bug")]
+                let at = now;
+                let total = Cycles::new(self.lines as u64 * at);
+                let active = &mut self.stats.mode_cycles.active;
+                *active = (*active).max(total);
+            }
+        }
+        at
     }
 
     /// The cycle the cache was last finalized at, if no access or time
@@ -1445,5 +1516,39 @@ mod tests {
         let now = run_idle(&mut c, 0, 100_000);
         assert_eq!(c.standby_line_count(now), 0);
         assert_eq!(c.stats().sleeps, 0);
+    }
+
+    #[test]
+    fn undecayed_close_covers_an_access_after_the_cycle_asked_for() {
+        // Regression: a cache without decay never moved its clock, so a
+        // finalize below its last access closed every line at the cycle
+        // asked for except the refilled one, and the line-cycle audit
+        // failed. The close must cover every access the cache has seen.
+        let mut c = Cache::new(CacheConfig::l1_64k_2way(), None).unwrap();
+        c.access(0x1000, AccessKind::Read, 100);
+        c.finalize(50);
+        c.audit().expect("the close covers the access at cycle 100");
+        assert_eq!(c.clock(), 100);
+        assert_eq!(c.finalized_at(), Some(100));
+    }
+
+    #[test]
+    fn undecayed_lines_are_active_from_cycle_zero() {
+        let mut c = Cache::new(CacheConfig::l1_64k_2way(), None).unwrap();
+        c.access(0x1000, AccessKind::Write, 70);
+        c.snapshot(200);
+        let lines = c.config().num_lines() as u64;
+        assert_eq!(c.stats().mode_cycles.active, Cycles::new(lines * 200));
+        assert_eq!(c.stats().mode_cycles.total(), Cycles::new(lines * 200));
+        // A close below an earlier one takes nothing back.
+        c.finalize(150);
+        assert_eq!(c.stats().mode_cycles.total(), Cycles::new(lines * 200));
+        // 0x1000 is set 64, so way 0 of that set is line 128.
+        let v = c.line_view(128);
+        assert_eq!(v.data, LineDataView::Dirty);
+        assert_eq!(
+            (v.mode, v.mode_since, v.local_counter),
+            (LineMode::Active, 0, 0)
+        );
     }
 }

@@ -195,6 +195,7 @@ impl Hierarchy {
 
     /// Brings all mode-cycle integrals up to `now` and drains any
     /// decay-forced writebacks still pending after the last data access.
+    /// The undecayed L1I and L2 close in O(1) (see [`Cache::snapshot`]).
     ///
     /// Returns the number of writebacks drained here; callers must charge
     /// each one as an L2 access, exactly as [`Hierarchy::data_access`] does

@@ -17,6 +17,11 @@
 //! under every mutation feature except `wheel-bug`, which only exists in
 //! the wheel build and is exactly what the differential suite must catch.
 //!
+//! A cache without decay keeps every line `Active` from cycle 0, so this
+//! model accounts its lines only when it is closed, each by the same
+//! per-line integral as a decayed line; `wheel_equivalence` checks the
+//! O(1) close of [`crate::Cache`] against that.
+//!
 //! Do not optimize this file. Its value is being dumb.
 
 use serde::{Deserialize, Serialize};
@@ -159,11 +164,16 @@ impl ReferenceCache {
 
     /// Processes every global-counter wrap in `(current clock, now]` at its
     /// exact cycle — by sweeping all lines — then sets the clock to `now`.
+    /// A cache without decay only moves its clock.
     pub fn advance_to(&mut self, now: u64) {
-        if self.decay.is_none() || now <= self.clock {
+        if now <= self.clock {
             return;
         }
         self.finalized_at = None;
+        if self.decay.is_none() {
+            self.clock = now;
+            return;
+        }
         let period = self.global.period();
         let elapsed = now - self.clock;
         let already = self.ticks_seen % period;
@@ -266,10 +276,15 @@ impl ReferenceCache {
         let (tag, set) = self.cfg.split(addr);
         let range = self.set_range(set);
 
-        // Resolve modes of the whole set up to `now` first.
-        for i in range.clone() {
-            let line = &mut self.lines[i];
-            Self::account(line, &mut self.stats, now);
+        // Resolve modes of the whole set up to `now` first. Without decay
+        // there is no mode to resolve: every line is `Active` from cycle 0
+        // and is accounted only when the cache is closed (`snapshot`).
+        let decayed = self.decay.is_some();
+        if decayed {
+            for i in range.clone() {
+                let line = &mut self.lines[i];
+                Self::account(line, &mut self.stats, now);
+            }
         }
 
         // Look for a matching way (live data or ghost).
@@ -323,14 +338,15 @@ impl ReferenceCache {
             LineData::Ghost => {}
         }
 
-        let now = now.max(line.mode_since);
         let woke = matches!(line.mode, LineMode::Standby | LineMode::GoingToSleep { .. });
         line.tag = tag;
         line.data = LineData::Valid {
             dirty: kind == AccessKind::Write,
         };
-        line.mode = LineMode::Active;
-        line.mode_since = now;
+        if decayed {
+            line.mode = LineMode::Active;
+            line.mode_since = now.max(line.mode_since);
+        }
         line.local_counter = 0;
         line.lru_stamp = stamp;
         if woke {
@@ -470,8 +486,10 @@ impl ReferenceCache {
             .count()
     }
 
-    /// Brings the mode-cycle integrals up to `now` for every line.
+    /// Brings the mode-cycle integrals up to the later of `now` and the
+    /// clock for every line.
     pub fn snapshot(&mut self, now: u64) {
+        let now = now.max(self.clock);
         for i in 0..self.lines.len() {
             let line = &mut self.lines[i];
             Self::account(line, &mut self.stats, now);

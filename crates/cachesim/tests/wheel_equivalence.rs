@@ -12,6 +12,10 @@
 //! here as a divergence even when both drivers agree with each other. The
 //! `wheel-bug` seeded mutation exists to prove exactly that: under
 //! `--cfg mutant="wheel-bug"` the deterministic tests below must fail.
+//!
+//! A cache without decay has no wheel, but it closes its mode integral in
+//! O(1) instead of settling every line; the last proptest holds that
+//! close to the reference's per-line accounting after every step.
 
 use cachesim::{
     AccessKind, Cache, CacheConfig, CacheStats, DecayConfig, DecayPolicy, ReferenceCache,
@@ -271,4 +275,85 @@ fn audit_flags_a_stale_decay_schedule() {
     cache
         .audit()
         .expect("fresh deadline after a touch keeps the schedule coherent");
+}
+
+/// One step of a generated trace for a cache without decay. Each step
+/// moves the cycle by `step`, which may be negative: an out-of-order core
+/// issues younger accesses before older ones, and a close may be asked
+/// for below the latest access.
+#[derive(Debug, Clone, Copy)]
+enum PlainOp {
+    Access { addr: u64, write: bool, step: i64 },
+    Snapshot { step: i64 },
+    Finalize { step: i64 },
+}
+
+fn arb_plain_op() -> impl Strategy<Value = PlainOp> {
+    (0u8..10, 0u64..1u64 << 14, proptest::bool::ANY, -300i64..600).prop_map(
+        |(sel, addr, write, step)| match sel {
+            0 => PlainOp::Snapshot { step },
+            1 => PlainOp::Finalize { step },
+            _ => PlainOp::Access {
+                addr: addr & !63,
+                write,
+                step,
+            },
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Under the `undecayed-close-bug` mutant this test MUST fail: a close
+    /// below the latest access then covers too few line-cycles.
+    #[test]
+    fn undecayed_cache_matches_reference_at_every_step(
+        ops in proptest::collection::vec(arb_plain_op(), 1..120),
+        assoc_log in 0u32..3,
+    ) {
+        // 64 lines over a 256-line address range: hits, misses and dirty
+        // evictions all happen.
+        let cfg = CacheConfig {
+            size_bytes: 4096,
+            assoc: 1 << assoc_log,
+            line_bytes: 64,
+            hit_latency: 2,
+        };
+        let mut fast = Cache::new(cfg, None).expect("valid");
+        let mut naive = ReferenceCache::new(cfg, None).expect("valid");
+        let mut now = 0u64;
+        let mut latest = 0u64;
+        for op in ops {
+            match op {
+                PlainOp::Access { addr, write, step } => {
+                    now = now.saturating_add_signed(step);
+                    let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                    let rf = fast.access(addr, kind, now);
+                    let rn = naive.access(addr, kind, now);
+                    prop_assert_eq!(rf, rn, "outcome diverged at cycle {} addr {:#x}", now, addr);
+                }
+                PlainOp::Snapshot { step } => {
+                    now = now.saturating_add_signed(step);
+                    fast.snapshot(now);
+                    naive.snapshot(now);
+                }
+                PlainOp::Finalize { step } => {
+                    now = now.saturating_add_signed(step);
+                    fast.finalize(now);
+                    naive.finalize(now);
+                }
+            }
+            latest = latest.max(now);
+            prop_assert_eq!(fast.clock(), naive.clock(), "clocks diverged at cycle {}", now);
+            prop_assert_eq!(fast.finalized_at(), naive.finalized_at());
+            prop_assert_eq!(fast.stats(), naive.stats(), "stats diverged at cycle {}", now);
+        }
+        // Closed at or past every cycle used, both pass the line-cycle law.
+        fast.finalize(latest);
+        naive.finalize(latest);
+        prop_assert_eq!(fast.stats(), naive.stats());
+        prop_assert_eq!(fast.finalized_at(), Some(latest));
+        fast.audit().expect("the O(1) close conserves line-cycles");
+    }
 }

@@ -50,6 +50,12 @@ use units::Cycles;
 use crate::config::StudyConfig;
 use crate::pricing::{self, CacheArrays};
 
+/// The most intervals one [`Study::interval_sweep`] may name: one for
+/// each power of two that fits in a `u64`, against the paper's 7-point
+/// menu. Each distinct interval is a full simulation, so without a bound
+/// one request line could ask for thousands.
+pub const MAX_SWEEP_INTERVALS: usize = 64;
+
 /// Errors from running experiments.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -63,6 +69,9 @@ pub enum StudyError {
     /// A closed-loop adaptive run was asked to observe zero-instruction
     /// windows, so it could never advance.
     EmptyAdaptiveWindow,
+    /// An interval sweep named this many intervals, more than
+    /// [`MAX_SWEEP_INTERVALS`]; it is refused before any run.
+    TooManyIntervals(usize),
     /// A post-run accounting audit found violated conservation laws (the
     /// formatted [`cachesim::audit::AuditReport`], or a pricing sanity
     /// failure).
@@ -80,6 +89,11 @@ impl fmt::Display for StudyError {
             StudyError::EmptyAdaptiveWindow => {
                 write!(f, "adaptive run needs a window of at least one instruction")
             }
+            StudyError::TooManyIntervals(count) => write!(
+                f,
+                "interval sweep names {count} intervals, more than the limit of \
+                 {MAX_SWEEP_INTERVALS}"
+            ),
             StudyError::AuditFailed(report) => {
                 write!(f, "accounting audit failed: {report}")
             }
@@ -92,7 +106,9 @@ impl Error for StudyError {
         match self {
             StudyError::Model(e) => Some(e),
             StudyError::Cache(e) => Some(e),
-            StudyError::EmptyIntervalList | StudyError::EmptyAdaptiveWindow => None,
+            StudyError::EmptyIntervalList
+            | StudyError::EmptyAdaptiveWindow
+            | StudyError::TooManyIntervals(_) => None,
             StudyError::AuditFailed(_) => None,
         }
     }
@@ -850,7 +866,9 @@ impl Study {
     ///
     /// # Errors
     ///
-    /// Returns [`StudyError`] on invalid operating points or geometry.
+    /// Returns [`StudyError::TooManyIntervals`], before any run, if
+    /// `intervals` names more than [`MAX_SWEEP_INTERVALS`]; otherwise
+    /// [`StudyError`] on invalid operating points or geometry.
     pub fn interval_sweep(
         &self,
         benchmark: Benchmark,
@@ -859,6 +877,9 @@ impl Study {
         temperature_c: f64,
         intervals: &[u64],
     ) -> Result<Vec<RunResult>, StudyError> {
+        if intervals.len() > MAX_SWEEP_INTERVALS {
+            return Err(StudyError::TooManyIntervals(intervals.len()));
+        }
         let requests: Vec<CompareRequest> = intervals
             .iter()
             .map(|&interval| CompareRequest {

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use leakctl::TechniqueKind;
 use serde::Serialize;
 use simcore::adaptive::Controller;
-use simcore::{Study, StudyConfig, StudyRequest};
+use simcore::{Study, StudyConfig, StudyRequest, MAX_SWEEP_INTERVALS};
 use specgen::Benchmark;
 use studyd::{Server, ServerConfig, StatsReport, TcpClient, WireReply, RETRY_AFTER_MS};
 
@@ -69,13 +69,16 @@ fn compare_request(interval: u64) -> StudyRequest {
     }
 }
 
-/// An interval sweep whose points all miss the cache: enough work to
-/// keep a worker busy while other tests poke the queue.
+/// The largest interval sweep a client may send, every point a cache
+/// miss: enough work to keep a worker busy while other tests poke the
+/// queue, however cheap a run's fixed cost gets.
 fn heavy_request() -> StudyRequest {
     StudyRequest::IntervalSweep {
         benchmark: Benchmark::Mcf,
         technique: TechniqueKind::GatedVss,
-        intervals: (0..16).map(|i| 1024 + 64 * i).collect(),
+        intervals: (0..MAX_SWEEP_INTERVALS as u64)
+            .map(|i| 1024 + 64 * i)
+            .collect(),
         l2_latency: 9,
         temperature_c: 85.0,
     }
@@ -228,6 +231,50 @@ fn an_l2_latency_that_overflows_the_latency_sum_gets_an_error_reply() {
         .request_value(&compare_request(1024))
         .expect("still serves");
     assert!(matches!(value, serde::Value::Object(_)));
+
+    let report = server.shutdown();
+    assert_eq!(report.failed, 1, "{report:?}");
+    assert_eq!(report.completed, 1);
+}
+
+#[test]
+fn an_interval_flood_is_refused_before_any_run() {
+    // Each distinct interval is a full simulation, so a sweep naming more
+    // intervals than the limit must be refused before the engine runs
+    // any of them, and the connection must go on serving.
+    let server = start_server(1, 8);
+    let mut client = connect(&server);
+
+    let count = MAX_SWEEP_INTERVALS + 1;
+    let id = client
+        .send_study(&StudyRequest::IntervalSweep {
+            benchmark: Benchmark::Mcf,
+            technique: TechniqueKind::GatedVss,
+            intervals: (0..count as u64).map(|i| 1024 + 64 * i).collect(),
+            l2_latency: 9,
+            temperature_c: 85.0,
+        })
+        .expect("sends");
+    let (got_id, reply) = client.read_reply().expect("server answers");
+    assert_eq!(got_id, id, "the error carries the request's id");
+    match reply {
+        WireReply::Err(msg) => assert!(
+            msg.contains(&format!("{count} intervals"))
+                && msg.contains(&format!("limit of {MAX_SWEEP_INTERVALS}")),
+            "{msg}"
+        ),
+        other => panic!("expected err, got {other:?}"),
+    }
+    assert_eq!(server.stats_report().cache.executions, 0, "a run executed");
+
+    let served = client
+        .request_value(&heavy_request())
+        .expect("still serves");
+    let direct = Study::new(test_study_config())
+        .serve(&heavy_request())
+        .expect("direct execution")
+        .to_value();
+    assert_eq!(served, direct, "a sweep at the limit is served");
 
     let report = server.shutdown();
     assert_eq!(report.failed, 1, "{report:?}");
