@@ -27,12 +27,12 @@
 //! 5. **No phantom decay** — a cache without decay machinery must report
 //!    zero sleeps, wakes, slow hits, induced misses, decay writebacks,
 //!    tag probes, and counter activity.
-//! 6. **Schedule coherence** — the timing wheel's pending events must
-//!    agree with the decay state's derived deadlines: every live line's
-//!    decay event sits at the wrap its counter saturates, and the `Simple`
-//!    flush on the next full interval (checked structurally by
-//!    [`crate::Cache::schedule_coherence`], reported here as
-//!    [`AuditViolation::DecayScheduleDrift`]).
+//! 6. **Schedule coherence** — the decay due lists must agree with the
+//!    decay state's derived deadlines: every live line is listed at the
+//!    wrap its counter saturates, each list holds exactly the lines whose
+//!    wrap maps to it, and the `Simple` policy lists none (checked
+//!    structurally by [`crate::Cache::schedule_coherence`], reported here
+//!    as [`AuditViolation::DecayScheduleDrift`]).
 
 use std::error::Error;
 use std::fmt;
@@ -88,8 +88,8 @@ pub enum AuditViolation {
         /// writebacks + tag probes + counter events observed.
         events: u64,
     },
-    /// The timing wheel's schedule disagrees with the decay state's derived
-    /// deadlines (a decay reschedule was dropped or a stale event kept).
+    /// The decay due lists disagree with the decay state's derived
+    /// deadlines (a decay reschedule was dropped or a stale entry kept).
     DecayScheduleDrift {
         /// Description of the first drift found.
         detail: String,

@@ -8,25 +8,24 @@
 //! stripe) of tags, data-state bytes, packed dirty bits and LRU stamps.
 //! Only a cache with decay also has a [`DecayState`]: its
 //! [`DecayConfig`], per-line power modes and counter bookkeeping in arrays
-//! of the same layout, the global counter and the timing wheel. A cache
+//! of the same layout, the global counter and the due lists. A cache
 //! without decay (the study's L1I and L2, and the baseline L1D) holds none
 //! of it. All of it is allocated once at construction; the steady state
 //! allocates nothing.
 //!
-//! Decay deadlines are not found by sweeping lines. A hierarchical timing
-//! wheel ([`crate::wheel::TimingWheel`]) schedules exactly the events that
-//! can change a line's state on their own:
+//! Decay deadlines are not found by sweeping lines. A line decays only at
+//! a wrap of the global counter, so under the `noaccess` policy each live
+//! line sits on one of four due lists (`due::DueLists`), the one
+//! of the wrap its two-bit counter saturates at. An access that resets
+//! the counter moves the line in O(1). Every pending wrap is 1–3 wraps
+//! ahead of the wrap count, so four lists indexed by `wrap % 4` never
+//! alias. The `simple` policy's flush is no list entry: it falls on every
+//! fourth wrap of the counter regime. `GoingToSleep`/`Waking { until }`
+//! settle expiries are not scheduled at all (see [`DecayState`]).
 //!
-//! - the quarter-interval wrap at which a line's two-bit counter would
-//!   saturate (`noaccess` policy) — one event per live line, rescheduled in
-//!   O(1) when an access resets the counter;
-//! - the recurring full-interval flush (`simple` policy) — one event total;
-//! - `GoingToSleep`/`Waking { until }` settle expiries — one per line in
-//!   transition.
-//!
-//! [`Cache::advance_to`] ticks the wheel from one due event to the next
-//! instead of iterating lines, so a time jump across an idle stretch costs
-//! O(events due), not O(lines × wraps).
+//! [`Cache::advance_to`] drains the lists wrap by wrap, each at its exact
+//! cycle, and stops once they are empty, so a time jump across an idle
+//! stretch costs O(lines due), not O(lines × wraps).
 //!
 //! The per-line two-bit counters themselves are not stored incrementally:
 //! a line records the global wrap count at its last counter reset
@@ -37,11 +36,12 @@
 //!
 //! ## Timing and accounting model
 //!
-//! The driver calls [`Cache::tick`] once per cycle (O(1) when no event is
-//! due) and [`Cache::access`] per reference. Line power modes are resolved
+//! The driver moves time with [`Cache::advance_to`] (O(1) when no wrap
+//! falls in the step) and calls [`Cache::access`] per reference. Line
+//! power modes are resolved
 //! lazily: each line records when its current mode began, and the elapsed
 //! line-cycles are attributed to the right [`ModeCycles`] bucket whenever
-//! the line is next touched (access, due event, or finalization). The
+//! the line is next touched (access, decay wrap, or finalization). The
 //! integrals are exact — nothing is sampled — and settlement is additive
 //! over mode segments, so event-driven settlement order produces bitwise
 //! the same [`CacheStats`] as a per-wrap full sweep.
@@ -71,8 +71,8 @@ use crate::decay::{
     DecayConfig, DecayPolicy, GlobalCounter, LineMode, StandbyBehavior, LOCAL_COUNTER_MAX,
     MIN_DECAY_INTERVAL_CYCLES,
 };
+use crate::due::DueLists;
 use crate::stats::CacheStats;
-use crate::wheel::TimingWheel;
 
 /// Read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -210,7 +210,7 @@ impl LineSlab {
 
 /// Everything a cache has only under decay: the configuration, the
 /// per-line power state (arrays in [`LineSlab`]'s layout), the counter
-/// and the event schedule.
+/// and the due lists.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct DecayState {
     cfg: DecayConfig,
@@ -231,13 +231,13 @@ struct DecayState {
     /// [`Cache::set_decay_interval`]); wrap `k` of the regime falls at
     /// `regime_start + k * period`.
     regime_start: u64,
-    /// Event schedule. Event ids: line `i`'s decay deadline is `i` and the
-    /// `Simple` flush is `num_lines`. Transition (`GoingToSleep`/`Waking`)
-    /// expiries are deliberately not scheduled: settlement is additive and
-    /// every raw-mode read happens after a settle, so expired transitions
-    /// collapse lazily with identical observables — an expiry event would
-    /// only burn wheel traffic on every sleep and wake.
-    wheel: TimingWheel,
+    /// Under `noaccess`, every live line by the regime wrap it decays at;
+    /// empty under `simple`. Transition (`GoingToSleep`/`Waking`) expiries
+    /// are deliberately not scheduled: settlement is additive and every
+    /// raw-mode read happens after a settle, so expired transitions
+    /// collapse lazily with identical observables — an expiry entry would
+    /// only add list traffic to every sleep and wake.
+    due: DueLists,
 }
 
 /// Attributes elapsed line-cycles up to `now` and resolves any completed
@@ -293,7 +293,7 @@ impl DecayState {
             reset_sweep: vec![0; lines],
             global: GlobalCounter::new(cfg.quarter_interval()),
             regime_start: 0,
-            wheel: TimingWheel::new(lines + 1),
+            due: DueLists::new(lines),
         };
         state.rebuild_schedule(0);
         state
@@ -301,16 +301,6 @@ impl DecayState {
 
     fn lines(&self) -> usize {
         self.mode.len()
-    }
-
-    /// Event id of line `i`'s decay deadline.
-    fn decay_event_id(i: usize) -> u32 {
-        i as u32
-    }
-
-    /// Event id of the `Simple` policy's recurring full-interval flush.
-    fn flush_event_id(&self) -> u32 {
-        self.lines() as u32
     }
 
     /// Absolute cycle of regime wrap number `wrap`.
@@ -331,19 +321,19 @@ impl DecayState {
         }
     }
 
-    /// The wrap cycle at which line `i`'s counter saturates and the line
+    /// The regime wrap at which line `i`'s counter saturates and the line
     /// decays (given no further access). A line whose base is already
     /// saturated decays at the next wrap.
-    fn decay_deadline(&self, i: usize) -> u64 {
+    fn decay_wrap(&self, i: usize) -> u64 {
         let remaining = u64::from(LOCAL_COUNTER_MAX.saturating_sub(self.base_count[i])).max(1);
-        self.wrap_cycle(self.reset_sweep[i].saturating_add(remaining))
+        self.reset_sweep[i].saturating_add(remaining)
     }
 
-    /// (Re)schedules line `i`'s decay deadline from its current counter
-    /// state. O(1).
+    /// (Re)schedules line `i`'s decay from its current counter state.
+    /// O(1).
     fn reschedule_decay(&mut self, i: usize) {
-        let deadline = self.decay_deadline(i);
-        self.wheel.schedule(Self::decay_event_id(i), deadline);
+        let wrap = self.decay_wrap(i);
+        self.due.link(i, wrap);
     }
 
     /// Line `i`'s mode at `now` with expired transitions collapsed
@@ -361,74 +351,74 @@ impl DecayState {
         settle(&mut self.mode[i], &mut self.mode_since[i], stats, now);
     }
 
-    /// Processes every scheduled decay event in `(clock, now]` at its
+    /// Processes every decay due at a wrap in `(clock, now]` at the wrap's
     /// exact cycle, then books the global-counter wraps up to `now`.
     fn advance(&mut self, slab: &mut LineSlab, stats: &mut CacheStats, now: u64) {
-        // Quiet advances (the common case on the access path) skip the pop
-        // loop outright: `next_due_bound` proves nothing fires by `now`.
-        // The wheel's internal clock then lags ours, which is harmless —
-        // deadlines are absolute, and every schedule is in our future.
-        if self.wheel.next_due_bound() <= now {
-            while let Some((t, id)) = self.wheel.pop_next(now) {
-                self.dispatch(slab, stats, id, t);
-            }
+        // Most advances cross no wrap: the next-wrap comparison keeps the
+        // u64 division off them.
+        if now < self.wrap_cycle(self.global.wraps.saturating_add(1)) {
+            return;
         }
-        // Bulk counter accounting: each wrap increments every line's
-        // two-bit counter under `noaccess` (the counters themselves are
-        // derived on demand, so only the totals are touched here). The
-        // next-wrap comparison keeps the u64 division off the common
-        // wrap-free advance.
-        if now >= self.wrap_cycle(self.global.wraps.saturating_add(1)) {
-            let wraps_now = (now - self.regime_start) / self.global.period();
-            let newly = wraps_now.saturating_sub(self.global.wraps);
-            self.global.wraps = wraps_now;
-            stats.global_counter_wraps += newly;
-            if self.cfg.policy == DecayPolicy::NoAccess {
+        let last = (now - self.regime_start) / self.global.period();
+        let newly = last - self.global.wraps;
+        match self.cfg.policy {
+            DecayPolicy::NoAccess => {
+                // Wrap by wrap while any line is due; past that the jump
+                // costs nothing. Each wrap increments every line's two-bit
+                // counter, but the counters are derived on demand, so only
+                // the total is booked.
+                let mut wrap = self.global.wraps;
+                while wrap < last && !self.due.is_empty() {
+                    wrap += 1;
+                    let t = self.wrap_cycle(wrap);
+                    while let Some(i) = self.due.pop(wrap) {
+                        self.on_decay_wrap(slab, stats, i, wrap, t);
+                    }
+                }
                 stats.local_counter_ticks += newly * self.lines() as u64;
             }
+            DecayPolicy::Simple => {
+                // The flush falls on every fourth wrap of the regime.
+                for n in self.global.wraps / 4 + 1..=last / 4 {
+                    let t = self.wrap_cycle(4 * n);
+                    self.flush(slab, stats, t);
+                }
+            }
         }
+        self.global.wraps = last;
+        stats.global_counter_wraps += newly;
     }
 
-    /// Routes one due wheel event to its handler.
-    fn dispatch(&mut self, slab: &mut LineSlab, stats: &mut CacheStats, id: u32, t: u64) {
-        let idx = id as usize;
-        if idx < self.lines() {
-            self.on_decay_deadline(slab, stats, idx, t);
-        } else {
-            self.on_flush(slab, stats, t);
-        }
-    }
-
-    /// Line `i`'s two-bit counter saturated at wrap cycle `t`: deactivate
-    /// it if it is (by then) fully active.
-    fn on_decay_deadline(&mut self, slab: &mut LineSlab, stats: &mut CacheStats, i: usize, t: u64) {
+    /// Line `i`'s two-bit counter saturated at `wrap`, at cycle `t`:
+    /// deactivate it if it is (by then) fully active.
+    fn on_decay_wrap(
+        &mut self,
+        slab: &mut LineSlab,
+        stats: &mut CacheStats,
+        i: usize,
+        wrap: u64,
+        t: u64,
+    ) {
         self.settle_line(stats, i, t);
         match self.mode[i] {
             LineMode::Active => self.deactivate(slab, stats, i, t),
-            LineMode::Waking { .. } => {
-                // Saturated but mid-wake: retry at the next wrap, exactly
-                // as a per-wrap sweep would (a saturated counter keeps
-                // asking until the line is deactivatable or touched).
-                let retry = t.saturating_add(self.global.period());
-                self.wheel.schedule(Self::decay_event_id(i), retry);
-            }
+            // Saturated but mid-wake: retry at the next wrap, exactly as a
+            // per-wrap sweep would (a saturated counter keeps asking until
+            // the line is deactivatable or touched).
+            LineMode::Waking { .. } => self.due.link(i, wrap + 1),
             _ => {}
         }
     }
 
     /// The `Simple` policy's full-interval flush at wrap cycle `t`:
-    /// deactivate every fully active line, then schedule the next flush one
-    /// interval later.
-    fn on_flush(&mut self, slab: &mut LineSlab, stats: &mut CacheStats, t: u64) {
+    /// deactivate every fully active line.
+    fn flush(&mut self, slab: &mut LineSlab, stats: &mut CacheStats, t: u64) {
         for i in 0..self.lines() {
             self.settle_line(stats, i, t);
             if matches!(self.mode[i], LineMode::Active) {
                 self.deactivate(slab, stats, i, t);
             }
         }
-        let next = t.saturating_add(self.global.period().saturating_mul(4));
-        let id = self.flush_event_id();
-        self.wheel.schedule(id, next);
     }
 
     /// Puts line `i` into standby, handling dirty data per the technique.
@@ -473,28 +463,21 @@ impl DecayState {
         self.rebuild_schedule(clock);
     }
 
-    /// Rebuilds the wheel's decay/flush schedule from scratch for the
-    /// current regime (construction and interval switches; steady-state
-    /// maintenance is all O(1) incremental).
+    /// Rebuilds the due lists from scratch for the current regime
+    /// (construction and interval switches; steady-state maintenance is
+    /// all O(1) incremental). The `simple` policy lists no line.
     fn rebuild_schedule(&mut self, clock: u64) {
-        match self.cfg.policy {
-            DecayPolicy::NoAccess => {
-                for i in 0..self.lines() {
-                    let live = matches!(
-                        self.resolved_mode_at(i, clock),
-                        LineMode::Active | LineMode::Waking { .. }
-                    );
-                    if live {
-                        self.reschedule_decay(i);
-                    } else {
-                        self.wheel.cancel(Self::decay_event_id(i));
-                    }
+        if self.cfg.policy == DecayPolicy::NoAccess {
+            for i in 0..self.lines() {
+                let live = matches!(
+                    self.resolved_mode_at(i, clock),
+                    LineMode::Active | LineMode::Waking { .. }
+                );
+                if live {
+                    self.reschedule_decay(i);
+                } else {
+                    self.due.unlink(i);
                 }
-            }
-            DecayPolicy::Simple => {
-                let next_flush = self.wrap_cycle(4);
-                let id = self.flush_event_id();
-                self.wheel.schedule(id, next_flush);
             }
         }
     }
@@ -578,23 +561,24 @@ impl DecayState {
             slab.set_dirty(i, true);
         }
         // A line that was already live and already touched during the
-        // current wrap derives the same deadline it has scheduled now
+        // current wrap derives the same decay wrap it is listed at now
         // (schedule coherence: live line, counter 0), so rescheduling would
-        // cancel-and-relink the identical entry. Skipping that churn keeps
-        // repeated hot-line hits off the wheel entirely. A woken line is
-        // excluded: sleeping lines carry no decay event, so the wake must
-        // schedule one regardless of its counter state.
+        // unlink and relink the identical entry. Skipping that churn keeps
+        // repeated hot-line hits off the due lists entirely. A woken line
+        // is excluded: sleeping lines are on no list, so the wake must
+        // list it regardless of its counter state.
         let fresh = !woke && self.base_count[i] == 0 && self.reset_sweep[i] == self.global.wraps;
         self.base_count[i] = 0;
         self.reset_sweep[i] = self.global.wraps;
         slab.lru_stamp[i] = stamp;
         if !fresh && self.cfg.policy == DecayPolicy::NoAccess {
-            // `wheel-bug` (CI mutation smoke only): drop the reschedule
-            // when a deadline is already pending, so a touched line still
-            // decays at its stale deadline. The differential suite and the
+            // `wheel-bug` (CI mutation smoke only; named for the timing
+            // wheel the due lists replaced): drop the reschedule when the
+            // line is already listed, so a touched line still decays at
+            // its stale wrap. The differential suite and the
             // schedule-coherence audit both exist to catch exactly this.
             #[cfg(mutant = "wheel-bug")]
-            let keep_stale = self.wheel.is_scheduled(Self::decay_event_id(i));
+            let keep_stale = self.due.wrap_of(i).is_some();
             #[cfg(not(mutant = "wheel-bug"))]
             let keep_stale = false;
             if !keep_stale {
@@ -631,58 +615,59 @@ impl DecayState {
 
     /// See [`Cache::schedule_coherence`]; `clock` is the cache's clock.
     fn schedule_coherence(&self, clock: u64) -> Result<(), String> {
-        let period = self.global.period();
-        match self.cfg.policy {
-            DecayPolicy::NoAccess => {
-                for i in 0..self.lines() {
-                    let live = matches!(
-                        self.resolved_mode_at(i, clock),
-                        LineMode::Active | LineMode::Waking { .. }
-                    );
-                    match (live, self.wheel.deadline_of(Self::decay_event_id(i))) {
-                        (true, None) => {
-                            return Err(format!("live line {i} has no decay deadline"));
-                        }
-                        (true, Some(d)) if self.local_counter(i) < LOCAL_COUNTER_MAX => {
-                            let expect = self.decay_deadline(i);
-                            if d != expect {
-                                return Err(format!(
-                                    "line {i} decay deadline {d} != derived deadline {expect}"
-                                ));
-                            }
-                        }
-                        (true, Some(d)) => {
-                            // Saturated mid-wake lines retry wrap by wrap;
-                            // any future wrap-aligned deadline is coherent.
-                            let aligned = d == u64::MAX
-                                || (d > clock
-                                    && d.saturating_sub(self.regime_start).is_multiple_of(period));
-                            if !aligned {
-                                return Err(format!(
-                                    "saturated line {i} retry deadline {d} is off the wrap grid \
-                                     (clock {clock}, regime start {}, period {period})",
-                                    self.regime_start
-                                ));
-                            }
-                        }
-                        (false, Some(d)) => {
-                            return Err(format!(
-                                "sleeping line {i} still holds a decay deadline at {d}"
-                            ));
-                        }
-                        (false, None) => {}
+        // Each list holds exactly the lines whose wrap maps to it. The
+        // walk stops past `lines` members, so a looped list cannot hang it.
+        let mut listed = 0;
+        for list in 0..4 {
+            for i in self.due.members(list).take(self.lines() + 1) {
+                match self.due.wrap_of(i) {
+                    Some(wrap) if wrap % 4 == list as u64 => listed += 1,
+                    wrap => {
+                        return Err(format!("line {i} is on due list {list} at wrap {wrap:?}"));
                     }
                 }
             }
-            DecayPolicy::Simple => {
-                let expect = self.wrap_cycle(4 * (self.global.wraps / 4 + 1));
-                match self.wheel.deadline_of(self.flush_event_id()) {
-                    Some(d) if d == expect => {}
-                    Some(d) => {
-                        return Err(format!("flush deadline {d} != next full interval {expect}"));
+        }
+        let due = (0..self.lines())
+            .filter(|&i| self.due.wrap_of(i).is_some())
+            .count();
+        if listed != due {
+            return Err(format!(
+                "{due} lines have a decay wrap but the due lists hold {listed}"
+            ));
+        }
+        if self.cfg.policy == DecayPolicy::Simple {
+            return if due == 0 {
+                Ok(())
+            } else {
+                Err(format!("the simple policy lists {due} lines"))
+            };
+        }
+        for i in 0..self.lines() {
+            let live = matches!(
+                self.resolved_mode_at(i, clock),
+                LineMode::Active | LineMode::Waking { .. }
+            );
+            match (live, self.due.wrap_of(i)) {
+                (true, None) => return Err(format!("live line {i} has no decay wrap")),
+                (true, Some(wrap)) => {
+                    // A saturated line still waking at its wrap retries at
+                    // the next one.
+                    let expect = if self.local_counter(i) < LOCAL_COUNTER_MAX {
+                        self.decay_wrap(i)
+                    } else {
+                        self.global.wraps + 1
+                    };
+                    if wrap != expect {
+                        return Err(format!(
+                            "line {i} decays at wrap {wrap}, not at its derived wrap {expect}"
+                        ));
                     }
-                    None => return Err("no flush event scheduled".to_string()),
                 }
+                (false, Some(wrap)) => {
+                    return Err(format!("sleeping line {i} still decays at wrap {wrap}"));
+                }
+                (false, None) => {}
             }
         }
         Ok(())
@@ -751,21 +736,13 @@ impl Cache {
         &self.stats
     }
 
-    /// Advances the decay machinery by one cycle. O(1) unless a scheduled
-    /// event (a line's decay deadline or the `Simple` flush) falls due this
-    /// cycle — only due events are touched; lines are never swept.
-    /// Equivalent to `advance_to(now)` for drivers that walk time cycle by
-    /// cycle.
-    pub fn tick(&mut self, now: u64) {
-        self.advance_to(now.max(self.clock.saturating_add(1)));
-    }
-
-    /// Processes every scheduled decay event in `(current clock, now]` at
-    /// its exact cycle — the timing wheel jumps from one due event to the
-    /// next rather than iterating lines — then sets the clock to `now`.
-    /// Lets time-jumping drivers (the one-pass out-of-order model) keep
-    /// decay semantics identical to a per-cycle tick loop. Calls with `now`
-    /// in the past are no-ops. A cache without decay only moves its clock.
+    /// Processes every decay due at a global-counter wrap in `(current
+    /// clock, now]` at the wrap's exact cycle — only listed lines and, under
+    /// `simple`, the flush wraps are visited, never every line at every
+    /// wrap — then sets the clock to `now`. One jump and a step per cycle
+    /// give identical decay semantics, so a time-jumping driver (the
+    /// one-pass out-of-order model) loses nothing. Calls with `now` in the
+    /// past are no-ops. A cache without decay only moves its clock.
     #[inline]
     pub fn advance_to(&mut self, now: u64) {
         if now <= self.clock {
@@ -964,8 +941,8 @@ impl Cache {
     }
 
     /// Handles a hit on a cache without leakage control: modes never leave
-    /// `Active`, counters are never consulted, and there is no wheel — a
-    /// hit is just LRU and dirty-bit maintenance.
+    /// `Active`, counters are never consulted, and there are no due lists —
+    /// a hit is just LRU and dirty-bit maintenance.
     #[inline]
     fn plain_hit(&mut self, i: usize, kind: AccessKind, stamp: u64) -> AccessResult {
         if kind == AccessKind::Write {
@@ -1061,11 +1038,13 @@ impl Cache {
         })
     }
 
-    /// Checks that the wheel's schedule agrees with the decay state's
-    /// derived deadlines: every live line under `noaccess` has its decay
-    /// event at exactly the wrap its counter saturates, and the `Simple`
-    /// flush sits on the next full-interval wrap. (Transition expiries are
-    /// resolved lazily and carry no events — see `DecayState::wheel`.)
+    /// Checks that the due lists agree with the decay state's derived
+    /// deadlines: each list holds exactly the lines whose wrap maps to it;
+    /// under `noaccess` every live line is listed at exactly the wrap its
+    /// counter saturates at (a saturated line still waking at the next
+    /// wrap) and no sleeping line is listed; under `simple`, whose flush
+    /// falls on every fourth wrap, no line is listed. (Transition expiries
+    /// are resolved lazily and never listed — see `DecayState::due`.)
     /// This is the audit-side net for dropped or stale reschedules (the
     /// `wheel-bug` mutation smoke). A cache without decay has no schedule
     /// and always passes.
@@ -1127,7 +1106,7 @@ impl Cache {
     }
 
     /// Audits this cache's statistics against every per-cache conservation
-    /// law (see [`crate::audit`]), plus the wheel/slab schedule-coherence
+    /// law (see [`crate::audit`]), plus the due-list schedule-coherence
     /// invariant.
     ///
     /// # Errors
@@ -1181,9 +1160,10 @@ mod tests {
         }
     }
 
+    /// Steps the clock one cycle at a time from `from` to `from + cycles`.
     fn run_idle(cache: &mut Cache, from: u64, cycles: u64) -> u64 {
         for t in from..from + cycles {
-            cache.tick(t);
+            cache.advance_to(t + 1);
         }
         from + cycles
     }
@@ -1343,9 +1323,8 @@ mod tests {
         c.access(0x40, AccessKind::Read, 1);
         let now = run_idle(&mut c, 0, 5000);
         c.finalize(now);
-        // tick(t) processes cycle t by advancing the clock to t+1, so the
-        // clock may sit past the caller's `now`; the conservation law is
-        // stated against the cycle finalize actually integrated to.
+        // The conservation law is stated against the cycle finalize
+        // actually integrated to.
         let at = c.finalized_at().expect("just finalized");
         assert!(at >= now);
         let mc = c.stats().mode_cycles;

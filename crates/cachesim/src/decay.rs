@@ -11,11 +11,11 @@
 //!
 //! That per-wrap increment is the *hardware model*; the simulator realizes
 //! it event-driven. [`crate::Cache`] derives each two-bit counter from the
-//! wrap count on demand and schedules every line's saturation cycle on a
-//! timing wheel ([`crate::TimingWheel`]), so no code here — or anywhere on
-//! the hot path — walks all lines at a wrap. The retained
-//! [`crate::ReferenceCache`] keeps the literal sweep as the executable
-//! specification.
+//! wrap count on demand and lists every live line under the wrap its
+//! counter saturates at, on one of four due lists indexed by `wrap % 4`,
+//! so no code here — or anywhere on the hot path — walks all lines at a
+//! wrap. The retained [`crate::ReferenceCache`] keeps the literal sweep as
+//! the executable specification.
 
 use serde::{Deserialize, Serialize};
 use units::{Cycles, PerCycle};
@@ -132,7 +132,6 @@ impl LineMode {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GlobalCounter {
     period: u64,
-    value: u64,
     /// Count of global-counter wraps (each wrap triggers a local-counter
     /// sweep; used for counter-energy accounting).
     pub wraps: u64,
@@ -143,21 +142,7 @@ impl GlobalCounter {
     pub fn new(period: u64) -> Self {
         GlobalCounter {
             period: period.max(1),
-            value: 0,
             wraps: 0,
-        }
-    }
-
-    /// Advances one cycle; returns `true` on wrap (local counters must then
-    /// be swept).
-    pub fn tick(&mut self) -> bool {
-        self.value += 1;
-        if self.value >= self.period {
-            self.value = 0;
-            self.wraps += 1;
-            true
-        } else {
-            false
         }
     }
 
@@ -176,26 +161,17 @@ pub const LOCAL_COUNTER_MAX: u8 = 3;
 /// below four cycles would alias several wraps onto one cycle;
 /// [`crate::Cache::set_decay_interval`] clamps to this floor.
 ///
-/// The timing wheel that realizes decay deadlines ticks at single-cycle
-/// granularity, so it imposes no floor of its own: this constant bounds the
-/// *counter arithmetic* (a wrap period of at least one cycle), not the
-/// scheduler. All wheel deadlines land on exact cycles regardless of the
-/// interval chosen.
+/// The due lists that realize decay deadlines index wraps, not cycles, so
+/// they impose no floor of their own: this constant bounds the *counter
+/// arithmetic* (a wrap period of at least one cycle), not the scheduler.
+/// At the floor a wrap falls every cycle, and a line woken by a 3-cycle
+/// wake can still be waking when its counter saturates; it then retries
+/// at the next wrap.
 pub const MIN_DECAY_INTERVAL_CYCLES: u64 = 4;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn global_counter_wraps_at_period() {
-        let mut c = GlobalCounter::new(4);
-        assert!(!c.tick());
-        assert!(!c.tick());
-        assert!(!c.tick());
-        assert!(c.tick());
-        assert_eq!(c.wraps, 1);
-    }
 
     #[test]
     fn quarter_interval_floors_at_one() {
@@ -220,15 +196,9 @@ mod tests {
             sleep_settle_cycles: 3,
             wake_settle_cycles: 3,
         };
-        let mut c = GlobalCounter::new(cfg.quarter_interval());
-        let mut wraps = 0;
-        for _ in 0..cfg.interval_cycles {
-            if c.tick() {
-                wraps += 1;
-            }
-        }
         assert_eq!(
-            wraps, 4,
+            cfg.interval_cycles / cfg.quarter_interval(),
+            4,
             "a line idle for the whole interval sees 4 local increments"
         );
     }

@@ -113,11 +113,6 @@ impl Hierarchy {
         &self.l2
     }
 
-    /// Advances per-cycle machinery (decay counters).
-    pub fn tick(&mut self, now: u64) {
-        self.l1d.tick(now);
-    }
-
     /// Batch-advances the decay machinery to `now` (see
     /// [`Cache::advance_to`]).
     pub fn advance_to(&mut self, now: u64) {
@@ -326,7 +321,7 @@ mod tests {
         let mut h = Hierarchy::new(HierarchyConfig::table2(11, Some(gated(512)))).unwrap();
         h.data_access(0x1000, AccessKind::Read, 0);
         for t in 0..1200u64 {
-            h.tick(t);
+            h.advance_to(t + 1);
         }
         let out = h.data_access(0x1000, AccessKind::Read, 1200);
         assert!(out.induced);
@@ -338,7 +333,7 @@ mod tests {
         let mut h = Hierarchy::new(HierarchyConfig::table2(11, Some(gated(512)))).unwrap();
         h.data_access(0x1000, AccessKind::Write, 0);
         for t in 0..1200u64 {
-            h.tick(t);
+            h.advance_to(t + 1);
         }
         let out = h.data_access(0x9999_0000, AccessKind::Read, 1200);
         assert!(
@@ -370,7 +365,7 @@ mod tests {
         let mut h = Hierarchy::new(HierarchyConfig::table2(11, Some(gated(512)))).unwrap();
         h.data_access(0x1000, AccessKind::Write, 0);
         for t in 0..1200u64 {
-            h.tick(t);
+            h.advance_to(t + 1);
         }
         let report = h.audit().unwrap_err();
         assert!(

@@ -39,12 +39,12 @@ pub mod audit;
 pub mod cache;
 pub mod config;
 pub mod decay;
+mod due;
 pub mod hierarchy;
 pub mod modelcheck;
 pub mod reference;
 pub mod reuse;
 pub mod stats;
-pub mod wheel;
 
 pub use cache::{AccessKind, AccessResult, Cache, LineDataView, LineView, MissKind};
 pub use config::{CacheConfig, ConfigError};
@@ -52,4 +52,3 @@ pub use decay::{DecayConfig, DecayPolicy, LineMode, StandbyBehavior, MIN_DECAY_I
 pub use hierarchy::{DataAccessOutcome, Hierarchy, HierarchyConfig};
 pub use reference::ReferenceCache;
 pub use stats::{CacheStats, ModeCycles};
-pub use wheel::TimingWheel;

@@ -22,11 +22,12 @@
 //!    building with `--cfg mutant="pre-fix-stale-counter"`).
 //! 5. **Behavior separation** — preserving standby never induces a miss;
 //!    losing standby never produces a slow hit.
-//! 6. **Schedule coherence** — after every transition the timing wheel's
-//!    pending events agree with the decay state's derived deadlines
-//!    ([`crate::Cache::schedule_coherence`]): no live line is missing its
-//!    decay event, none sits at a stale cycle, and the `Simple` flush sits
-//!    on the next full interval.
+//! 6. **Schedule coherence** — after every transition the due lists
+//!    agree with the decay state's derived deadlines
+//!    ([`crate::Cache::schedule_coherence`]): each list holds exactly the
+//!    lines whose wrap maps to it, no live line is missing from them, none
+//!    is listed at a stale wrap, and under `Simple`, whose flush falls on
+//!    every fourth wrap, no line is listed at all.
 //! 7. **Cross-set independence** (multi-set geometries) — a set's decay
 //!    and replacement behavior is a function of that set's own state and
 //!    the global clock only. Each explored node carries one *shadow*
@@ -465,9 +466,9 @@ fn check_invariants(cache: &Cache, obs: &Observation, decay: &DecayConfig) -> Op
         }
     }
 
-    // (6) Schedule coherence: the wheel's pending events must match the
-    // derived deadlines from every reachable state (this is the
-    // check that catches the `wheel-bug` dropped-reschedule mutation).
+    // (6) Schedule coherence: the due lists must match the derived
+    // deadlines from every reachable state (this is the check that
+    // catches the `wheel-bug` dropped-reschedule mutation).
     if let Err(drift) = cache.schedule_coherence() {
         return Some(format!("decay schedule drift: {drift}"));
     }

@@ -1,21 +1,22 @@
 //! The retained naive full-sweep cache model: the executable specification
-//! the wheel-based [`crate::Cache`] is differentially tested against.
+//! the event-driven [`crate::Cache`] is differentially tested against.
 //!
-//! This is the pre-wheel implementation, kept byte-for-byte in behavior:
+//! This is the original implementation, kept byte-for-byte in behavior:
 //! array-of-structs line storage, and a per-wrap `sweep` that walks every
 //! line at every quarter-interval global-counter wrap. It is O(lines) per
-//! wrap — exactly the cost the timing wheel removes — which makes it slow
+//! wrap — exactly the cost the due lists remove — which makes it slow
 //! but obviously correct, and that is its job: the
 //! `wheel_equivalence` suite drives [`ReferenceCache`] and [`crate::Cache`]
 //! in lockstep over random traces (including mid-run
-//! [`ReferenceCache::set_decay_interval`] switches) and requires bitwise
-//! identical [`AccessResult`]s and [`CacheStats`].
+//! [`ReferenceCache::set_decay_interval`] switches, intervals down to
+//! [`crate::MIN_DECAY_INTERVAL_CYCLES`], and the Table-2 2 MB L2) and
+//! requires bitwise identical [`AccessResult`]s and [`CacheStats`].
 //!
-//! The seeded-mutation `cfg` blocks (`seeded-accounting-bug`,
-//! `pre-fix-stale-counter`) are retained verbatim so that building with
-//! those features mutates *both* models identically — equivalence holds
-//! under every mutation feature except `wheel-bug`, which only exists in
-//! the wheel build and is exactly what the differential suite must catch.
+//! The reference shares [`DecayConfig::quarter_interval`], and so the
+//! `seeded-knee-bug` mutant, with [`crate::Cache`], but none of the
+//! cache's own mutant blocks: under `wheel-bug`, `pre-fix-stale-counter`,
+//! `seeded-accounting-bug` or `undecayed-close-bug` the two models
+//! diverge, which is what the differential suite exists to catch.
 //!
 //! A cache without decay keeps every line `Active` from cycle 0, so this
 //! model accounts its lines only when it is closed, each by the same
@@ -154,12 +155,6 @@ impl ReferenceCache {
             }
         }
         line.mode_since = now;
-    }
-
-    /// Advances the decay machinery by one cycle (equivalent to
-    /// `advance_to(now)` for drivers that walk time cycle by cycle).
-    pub fn tick(&mut self, now: u64) {
-        self.advance_to(now.max(self.clock.saturating_add(1)));
     }
 
     /// Processes every global-counter wrap in `(current clock, now]` at its

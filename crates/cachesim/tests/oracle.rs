@@ -1,9 +1,10 @@
 //! Differential oracle: the time-jumping `advance_to` fast path must be
-//! bitwise-indistinguishable from a deliberately naive per-cycle `tick`
-//! reference driver — same `CacheStats` (including the `ModeCycles`
-//! integrals), same hit/miss/latency outcome for every access — across
-//! random traces, both standby behaviors, both decay policies, tag decay
-//! on/off, and adaptive interval switches mid-run.
+//! bitwise-indistinguishable from a deliberately naive driver that steps
+//! the clock one cycle at a time — same `CacheStats` (including the
+//! `ModeCycles` integrals), same hit/miss/latency outcome for every
+//! access — across random traces, both standby behaviors, both decay
+//! policies, tag decay on/off, intervals down to
+//! `MIN_DECAY_INTERVAL_CYCLES`, and adaptive interval switches mid-run.
 //!
 //! This is the regression net for every later fast-path optimization: any
 //! divergence in when a counter wraps, a line decays, or a mode integral
@@ -11,6 +12,7 @@
 
 use cachesim::{
     AccessKind, Cache, CacheConfig, CacheStats, DecayConfig, DecayPolicy, StandbyBehavior,
+    MIN_DECAY_INTERVAL_CYCLES,
 };
 use proptest::prelude::*;
 
@@ -31,7 +33,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         0u64..1u64 << 17,
         proptest::bool::ANY,
         0u64..700,
-        16u64..2048,
+        MIN_DECAY_INTERVAL_CYCLES..2048,
     )
         .prop_map(|(sel, addr, write, gap, interval)| {
             if sel == 0 {
@@ -65,8 +67,8 @@ fn decay_cfg(losing: bool, simple: bool, tags_decay: bool, interval: u64) -> Dec
     }
 }
 
-/// Runs `ops` through a per-cycle-ticked reference cache and an
-/// `advance_to` cache in lockstep, checking each access outcome, and
+/// Runs `ops` through a cache stepped one cycle at a time and one that
+/// jumps with `advance_to` in lockstep, checking each access outcome, and
 /// returns both finalized stats.
 fn run_both(decay: DecayConfig, ops: &[Op]) -> (CacheStats, CacheStats) {
     let cfg = CacheConfig::l1_64k_2way();
@@ -78,7 +80,7 @@ fn run_both(decay: DecayConfig, ops: &[Op]) -> (CacheStats, CacheStats) {
             Op::Access { addr, write, gap } => {
                 let next = now + gap;
                 for t in now..next {
-                    naive.tick(t);
+                    naive.advance_to(t + 1);
                 }
                 fast.advance_to(next);
                 let kind = if write {
@@ -94,7 +96,7 @@ fn run_both(decay: DecayConfig, ops: &[Op]) -> (CacheStats, CacheStats) {
             Op::SetInterval { interval, gap } => {
                 let next = now + gap;
                 for t in now..next {
-                    naive.tick(t);
+                    naive.advance_to(t + 1);
                 }
                 fast.advance_to(next);
                 naive.set_decay_interval(interval);
@@ -106,7 +108,7 @@ fn run_both(decay: DecayConfig, ops: &[Op]) -> (CacheStats, CacheStats) {
     // Let any trailing decay play out identically, then settle integrals.
     let end = now + 4096;
     for t in now..end {
-        naive.tick(t);
+        naive.advance_to(t + 1);
     }
     fast.advance_to(end);
     naive.finalize(end);
@@ -126,7 +128,7 @@ proptest! {
         losing in proptest::bool::ANY,
         simple in proptest::bool::ANY,
         tags_decay in proptest::bool::ANY,
-        interval in 32u64..2048,
+        interval in MIN_DECAY_INTERVAL_CYCLES..2048,
     ) {
         let decay = decay_cfg(losing, simple, tags_decay, interval);
         let (naive, fast) = run_both(decay, &ops);

@@ -1,25 +1,28 @@
-//! Differential oracle for the data-oriented hot path: the timing-wheel
+//! Differential oracle for the data-oriented hot path: the due-list
 //! [`Cache`] must be bitwise-indistinguishable from the retained naive
 //! full-sweep [`ReferenceCache`] — same [`AccessResult`] for every access,
 //! same finalized [`CacheStats`] (including the `ModeCycles` integrals),
 //! same resolved line views, probes, and standby census — across random
 //! traces, both standby behaviors, both decay policies, tag decay on/off,
-//! and adaptive interval switches mid-run.
+//! intervals down to [`MIN_DECAY_INTERVAL_CYCLES`], adaptive interval
+//! switches mid-run, and the Table-2 2 MB L2.
 //!
 //! Unlike the `oracle` suite (which drives one implementation two ways and
-//! so shares the wheel with what it checks), this suite compares two
-//! *independent* implementations; a scheduling bug in the wheel shows up
+//! so shares the due lists with what it checks), this suite compares two
+//! *independent* implementations; a scheduling bug in the lists shows up
 //! here as a divergence even when both drivers agree with each other. The
-//! `wheel-bug` seeded mutation exists to prove exactly that: under
-//! `--cfg mutant="wheel-bug"` the deterministic tests below must fail.
+//! `wheel-bug` seeded mutation (named for the timing wheel the lists
+//! replaced) exists to prove exactly that: under
+//! `--cfg mutant="wheel-bug"` the two deterministic tests that name it
+//! must fail.
 //!
-//! A cache without decay has no wheel, but it closes its mode integral in
-//! O(1) instead of settling every line; the last proptest holds that
+//! A cache without decay has no due lists, but it closes its mode integral
+//! in O(1) instead of settling every line; the last proptest holds that
 //! close to the reference's per-line accounting after every step.
 
 use cachesim::{
-    AccessKind, Cache, CacheConfig, CacheStats, DecayConfig, DecayPolicy, ReferenceCache,
-    StandbyBehavior,
+    AccessKind, Cache, CacheConfig, CacheStats, DecayConfig, DecayPolicy, LineMode, ReferenceCache,
+    StandbyBehavior, MIN_DECAY_INTERVAL_CYCLES,
 };
 use proptest::prelude::*;
 
@@ -41,7 +44,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         0u64..1u64 << 17,
         proptest::bool::ANY,
         0u64..2500,
-        16u64..2048,
+        MIN_DECAY_INTERVAL_CYCLES..2048,
     )
         .prop_map(|(sel, addr, write, gap, interval)| {
             if sel == 0 {
@@ -76,9 +79,10 @@ fn decay_cfg(losing: bool, simple: bool, tags_decay: bool, interval: u64) -> Dec
 }
 
 /// Compares every observable the two implementations share at clock `now`.
-/// Raw `mode`/`mode_since` are deliberately excluded: the wheel settles
-/// transitions eagerly at their expiry event while the reference resolves
-/// them lazily, so only the *resolved* mode is a shared observable.
+/// Raw `mode`/`mode_since` are deliberately excluded: the two settle a
+/// line's integral at different moments (the reference every line at
+/// every wrap, the cache only the lines it touches), so only the
+/// *resolved* mode is a shared observable.
 fn assert_views_agree(wheel: &Cache, naive: &ReferenceCache, now: u64) {
     assert_eq!(wheel.clock(), naive.clock(), "clocks diverged");
     assert_eq!(
@@ -177,7 +181,7 @@ proptest! {
         losing in proptest::bool::ANY,
         simple in proptest::bool::ANY,
         tags_decay in proptest::bool::ANY,
-        interval in 16u64..2048,
+        interval in MIN_DECAY_INTERVAL_CYCLES..2048,
     ) {
         let decay = decay_cfg(losing, simple, tags_decay, interval);
         let (wheel, naive) = run_both(decay, &ops);
@@ -189,7 +193,7 @@ proptest! {
 fn wheel_matches_reference_across_an_adaptive_interval_ladder() {
     // A deterministic worst case for the reschedule machinery: walk the
     // interval up and down mid-run with live, dirty, and waking lines in
-    // flight, so every regime change rebuilds a populated wheel.
+    // flight, so every regime change rebuilds populated due lists.
     let mut ops = Vec::new();
     for (i, interval) in [512u64, 2048, 16, 4096, 128, 1024].iter().enumerate() {
         for j in 0..24u64 {
@@ -256,7 +260,7 @@ fn touched_line_keeps_its_fresh_decay_deadline() {
 
 /// Same scenario, caught by the conservation-and-coherence audit instead
 /// of the differential oracle: immediately after the second touch the
-/// wheel's deadline must agree with the counter-derived one, and the
+/// line's listed wrap must agree with the counter-derived one, and the
 /// schedule-coherence check in [`Cache::audit`] flags the stale entry
 /// while it is still pending. Under `--cfg mutant="wheel-bug"` this test
 /// MUST fail (with a `DecayScheduleDrift` violation).
@@ -275,6 +279,87 @@ fn audit_flags_a_stale_decay_schedule() {
     cache
         .audit()
         .expect("fresh deadline after a touch keeps the schedule coherent");
+}
+
+/// At the 4-cycle floor a wrap falls every cycle, so a line woken by a
+/// slow hit is still waking (3 cycles) when its counter saturates three
+/// wraps later, and its decay must retry at the next wrap. Only intervals
+/// of 4–7 cycles reach that branch: the proptests rarely draw them, and
+/// the model checker idles in 64-cycle quarters.
+#[test]
+fn waking_line_retries_its_decay_at_the_next_wrap() {
+    let decay = decay_cfg(false, false, true, MIN_DECAY_INTERVAL_CYCLES);
+    let cfg = CacheConfig::l1_64k_2way();
+    let mut cache = Cache::new(cfg, Some(decay)).expect("valid");
+    let mut naive = ReferenceCache::new(cfg, Some(decay)).expect("valid");
+    let addr = 0x4000u64;
+    // Touched at 0, every line saturates at wrap 3 and sleeps. The slow
+    // hit at 10 wakes the line until 13, its next saturation wrap, so it
+    // retries and sleeps at 14. 0x4000 is set 256, whose way 0 is line 512.
+    for now in 0..=30u64 {
+        cache.advance_to(now);
+        naive.advance_to(now);
+        if now == 0 || now == 10 {
+            let r = cache.access(addr, AccessKind::Read, now);
+            assert_eq!(r, naive.access(addr, AccessKind::Read, now), "cycle {now}");
+            assert_eq!(r.woke_line, now == 10, "cycle {now}");
+        }
+        assert_views_agree(&cache, &naive, now);
+        cache
+            .schedule_coherence()
+            .unwrap_or_else(|drift| panic!("cycle {now}: {drift}"));
+        let mode = cache.line_view(512).resolved_mode(now);
+        match now {
+            13 => assert_eq!(mode, LineMode::Waking { until: 13 }, "saturated mid-wake"),
+            14 => assert_eq!(mode, LineMode::GoingToSleep { until: 17 }, "the retry"),
+            _ => {}
+        }
+    }
+    cache.finalize(30);
+    naive.finalize(30);
+    assert_eq!(cache.stats(), naive.stats());
+    assert_eq!(cache.stats().sleeps, cfg.num_lines() as u64 + 1);
+    assert_eq!(cache.stats().slow_hits, 1);
+}
+
+/// The Table-2 2 MB L2 (32,768 lines) under gated-V_ss decay at an
+/// 8,192-cycle interval: the line count where a per-wrap sweep costs
+/// most. The stream is a strided walk with periodic reuse, its gaps long
+/// enough for idle sets to decay between visits.
+#[test]
+fn table2_l2_matches_reference() {
+    let l2 = CacheConfig::l2_2m_2way(11);
+    let decay = decay_cfg(true, false, true, 8192);
+    let mut cache = Cache::new(l2, Some(decay)).expect("valid");
+    let mut naive = ReferenceCache::new(l2, Some(decay)).expect("valid");
+    let lines = l2.num_lines() as u64;
+    let mut now = 0u64;
+    let mut lcg = 0x243f_6a88_85a3_08d3u64;
+    for k in 0..100_000u64 {
+        lcg = lcg
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        // About 1 access in 4 revisits a recent line (hits and wakes),
+        // the rest stride through the array (misses and evictions).
+        let line = if lcg & 3 == 0 {
+            (k / 7) % lines
+        } else {
+            (k * 97) % lines
+        };
+        now += 11 + (lcg >> 32) % 190;
+        let kind = if lcg & 7 == 0 {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        let r = cache.access(line * 64, kind, now);
+        assert_eq!(r, naive.access(line * 64, kind, now), "access {k}");
+    }
+    cache.finalize(now);
+    naive.finalize(now);
+    assert_eq!(cache.stats(), naive.stats());
+    assert!(naive.stats().sleeps > 0, "decay must fire");
+    cache.audit().expect("the L2 conserves and stays coherent");
 }
 
 /// One step of a generated trace for a cache without decay. Each step

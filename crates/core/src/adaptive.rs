@@ -16,7 +16,7 @@ use uarch::{Core, CoreConfig};
 
 use crate::config::StudyConfig;
 use crate::parallel;
-use crate::study::{default_threads, technique_of, RawRun, StudyError};
+use crate::study::{default_threads, technique_of, RawRun, StudyError, MAX_ADAPTIVE_WINDOWS};
 
 /// Which runtime controller drives the interval.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -53,7 +53,9 @@ pub struct AdaptiveRun {
 /// # Errors
 ///
 /// Returns [`StudyError::EmptyAdaptiveWindow`] if `window_insts` is 0,
-/// or another [`StudyError`] if the hierarchy cannot be built.
+/// [`StudyError::TooManyWindows`] if the run would take more than
+/// [`MAX_ADAPTIVE_WINDOWS`] windows, or another [`StudyError`] if the
+/// hierarchy cannot be built.
 pub fn run_adaptive(
     benchmark: Benchmark,
     kind: TechniqueKind,
@@ -64,6 +66,10 @@ pub fn run_adaptive(
 ) -> Result<AdaptiveRun, StudyError> {
     if window_insts == 0 {
         return Err(StudyError::EmptyAdaptiveWindow);
+    }
+    let windows = cfg.insts.div_ceil(window_insts);
+    if windows > MAX_ADAPTIVE_WINDOWS {
+        return Err(StudyError::TooManyWindows(windows));
     }
     let initial = 4096;
     let technique = Technique {
@@ -252,6 +258,22 @@ mod tests {
         )
         .expect_err("a window of 0 instructions can never advance");
         assert!(matches!(err, StudyError::EmptyAdaptiveWindow), "got {err}");
+    }
+
+    #[test]
+    fn window_count_is_capped() {
+        let run = |insts| {
+            let cfg = StudyConfig {
+                insts,
+                ..StudyConfig::default()
+            };
+            let amc = Controller::AdaptiveModeControl;
+            run_adaptive(Benchmark::Gzip, TechniqueKind::Drowsy, amc, &cfg, 11, 1)
+        };
+        let at_cap = run(MAX_ADAPTIVE_WINDOWS).expect("the cap itself is allowed");
+        assert_eq!(at_cap.interval_trace.len() as u64, MAX_ADAPTIVE_WINDOWS);
+        let err = run(MAX_ADAPTIVE_WINDOWS + 1).expect_err("one window past the cap");
+        assert!(matches!(err, StudyError::TooManyWindows(1025)), "got {err}");
     }
 
     #[test]

@@ -66,5 +66,5 @@ pub use runstore::{RecordId, RunStore, StoreCounters};
 pub use service::{FigureMetric, RequestKind, StudyRequest, StudyResponse};
 pub use study::{
     default_threads, CompareRequest, RawRun, RemoteTier, RunCache, RunCacheCounters, RunKey,
-    RunResult, Study, StudyCtx, StudyError, MAX_SWEEP_INTERVALS,
+    RunResult, Study, StudyCtx, StudyError, MAX_ADAPTIVE_WINDOWS, MAX_SWEEP_INTERVALS,
 };

@@ -56,6 +56,12 @@ use crate::pricing::{self, CacheArrays};
 /// one request line could ask for thousands.
 pub const MAX_SWEEP_INTERVALS: usize = 64;
 
+/// The most observation windows one closed-loop adaptive run may take.
+/// Each window ends in a full settle of the L1D and an interval restart,
+/// so a run in 1-instruction windows costs about 90 times as much as one
+/// in 2 k-instruction windows; the in-repo callers take at most 12.
+pub const MAX_ADAPTIVE_WINDOWS: u64 = 1024;
+
 /// Errors from running experiments.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -72,6 +78,9 @@ pub enum StudyError {
     /// An interval sweep named this many intervals, more than
     /// [`MAX_SWEEP_INTERVALS`]; it is refused before any run.
     TooManyIntervals(usize),
+    /// A closed-loop adaptive run would take this many windows, more than
+    /// [`MAX_ADAPTIVE_WINDOWS`]; it is refused before the core is built.
+    TooManyWindows(u64),
     /// A post-run accounting audit found violated conservation laws (the
     /// formatted [`cachesim::audit::AuditReport`], or a pricing sanity
     /// failure).
@@ -94,6 +103,11 @@ impl fmt::Display for StudyError {
                 "interval sweep names {count} intervals, more than the limit of \
                  {MAX_SWEEP_INTERVALS}"
             ),
+            StudyError::TooManyWindows(count) => write!(
+                f,
+                "adaptive run needs {count} windows, more than the limit of \
+                 {MAX_ADAPTIVE_WINDOWS}"
+            ),
             StudyError::AuditFailed(report) => {
                 write!(f, "accounting audit failed: {report}")
             }
@@ -108,7 +122,8 @@ impl Error for StudyError {
             StudyError::Cache(e) => Some(e),
             StudyError::EmptyIntervalList
             | StudyError::EmptyAdaptiveWindow
-            | StudyError::TooManyIntervals(_) => None,
+            | StudyError::TooManyIntervals(_)
+            | StudyError::TooManyWindows(_) => None,
             StudyError::AuditFailed(_) => None,
         }
     }

@@ -31,12 +31,12 @@
 //! * **`fs-boundary`** — `std::fs` lives only in `crates/runstore`, which
 //!   owns the checksums, torn-tail recovery and read-back verification
 //!   that ad-hoc file access would bypass.
-//! * **`no-alloc-in-sweep`** — the decay timing wheel
-//!   (`cachesim::wheel`) promises zero steady-state allocation: every
-//!   schedule/cancel/advance runs on preallocated parallel arrays, so any
-//!   allocating construct there (`vec!`, `Vec::new`, `.collect()`,
-//!   `Box::new`, `format!`, …) is either one-time construction (marked as
-//!   such) or a hot-path regression.
+//! * **`no-alloc-in-sweep`** — the decay due lists (`cachesim::due`)
+//!   promise zero steady-state allocation: every link/unlink/pop runs on
+//!   preallocated parallel arrays, so any allocating construct there
+//!   (`vec!`, `Vec::new`, `.collect()`, `Box::new`, `format!`, …) is
+//!   either one-time construction (marked as such) or a hot-path
+//!   regression.
 //! * **`no-sleep-while-locked`** — in the server and concurrency core
 //!   (`crates/studyd`, `crates/core`), a live `MutexGuard` must not be
 //!   held across a sleep or blocking I/O call; every other thread that
@@ -107,7 +107,7 @@ pub const SERVER_BOUNDARY_FILES: &[&str] = &["crates/core/src/parallel.rs"];
 pub const FS_BOUNDARY_CRATES: &[&str] = &["crates/runstore/"];
 
 /// Files on the decay hot path that promise zero steady-state allocation.
-pub const NO_ALLOC_FILES: &[&str] = &["crates/cachesim/src/wheel.rs"];
+pub const NO_ALLOC_FILES: &[&str] = &["crates/cachesim/src/due.rs"];
 
 /// Crates whose emitted numbers must be pure functions of the seed
 /// (prefix-matched): the timing-leakage harness and the simulator. All
@@ -904,24 +904,24 @@ mod tests {
     }
 
     #[test]
-    fn alloc_on_the_wheel_hot_path_fires() {
-        let src = "fn cascade(&mut self) {\n    let moved: Vec<u32> = self.ids.to_vec();\n}\n";
-        let v = scan_content(&rel("crates/cachesim/src/wheel.rs"), src);
+    fn alloc_in_the_due_lists_fires() {
+        let src = "fn pop(&mut self) {\n    let moved: Vec<u32> = self.ids.to_vec();\n}\n";
+        let v = scan_content(&rel("crates/cachesim/src/due.rs"), src);
         assert!(v.iter().any(|v| v.rule == Rule::NoAllocInSweep), "{v:?}");
 
         let collect = "fn drain(&mut self) {\n    let due: Vec<u32> = self.iter().collect();\n}\n";
-        let v = scan_content(&rel("crates/cachesim/src/wheel.rs"), collect);
+        let v = scan_content(&rel("crates/cachesim/src/due.rs"), collect);
         assert!(v.iter().any(|v| v.rule == Rule::NoAllocInSweep), "{v:?}");
     }
 
     #[test]
     fn alloc_marker_and_test_code_suppress_on_the_hot_path() {
         let marked = "fn new(n: usize) -> Self {\n    // lint: allow(no-alloc-in-sweep): one-time construction\n    let next = vec![0u32; n];\n    Self { next }\n}\n";
-        let v = scan_content(&rel("crates/cachesim/src/wheel.rs"), marked);
+        let v = scan_content(&rel("crates/cachesim/src/due.rs"), marked);
         assert!(v.iter().all(|v| v.rule != Rule::NoAllocInSweep), "{v:?}");
 
         let in_test = "pub fn f() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        let fired = vec![1, 2];\n    }\n}\n";
-        let v = scan_content(&rel("crates/cachesim/src/wheel.rs"), in_test);
+        let v = scan_content(&rel("crates/cachesim/src/due.rs"), in_test);
         assert!(v.iter().all(|v| v.rule != Rule::NoAllocInSweep), "{v:?}");
     }
 
@@ -1031,7 +1031,7 @@ mod tests {
 
         // Outside the harness, wall-clock use is governed by other rules.
         let elsewhere = "use std::time::Instant;\n";
-        let v = scan_content(&rel("crates/bench/src/bin/bench_wheel.rs"), elsewhere);
+        let v = scan_content(&rel("crates/bench/src/bin/bench_leakage.rs"), elsewhere);
         assert!(v.iter().all(|v| v.rule != Rule::NoWallclock), "{v:?}");
     }
 

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use leakctl::TechniqueKind;
 use serde::Serialize;
 use simcore::adaptive::Controller;
-use simcore::{Study, StudyConfig, StudyRequest, MAX_SWEEP_INTERVALS};
+use simcore::{Study, StudyConfig, StudyRequest, MAX_ADAPTIVE_WINDOWS, MAX_SWEEP_INTERVALS};
 use specgen::Benchmark;
 use studyd::{Server, ServerConfig, StatsReport, TcpClient, WireReply, RETRY_AFTER_MS};
 
@@ -191,6 +191,45 @@ fn zero_instruction_adaptive_window_fails_and_the_connection_survives() {
     assert_eq!(got_id, id, "the error carries the request's id");
     match reply {
         WireReply::Err(msg) => assert!(msg.contains("window"), "{msg}"),
+        other => panic!("expected err, got {other:?}"),
+    }
+
+    let value = client
+        .request_value(&compare_request(1024))
+        .expect("still serves");
+    assert!(matches!(value, serde::Value::Object(_)));
+
+    let report = server.shutdown();
+    assert_eq!(report.failed, 1, "{report:?}");
+    assert_eq!(report.completed, 1);
+}
+
+#[test]
+fn an_adaptive_window_flood_is_refused_and_the_connection_survives() {
+    // Every window ends in a full L1D settle, so 1-instruction windows
+    // over the test's 20k instructions would be 20000 of them: refused
+    // before the core is built, and the connection goes on serving.
+    let server = start_server(1, 8);
+    let mut client = connect(&server);
+
+    let id = client
+        .send_study(&StudyRequest::Adaptive {
+            benchmark: Benchmark::Gzip,
+            technique: TechniqueKind::GatedVss,
+            controller: Controller::AdaptiveModeControl,
+            window_insts: 1,
+            l2_latency: 11,
+        })
+        .expect("sends");
+    let (got_id, reply) = client.read_reply().expect("server answers");
+    assert_eq!(got_id, id, "the error carries the request's id");
+    let insts = test_study_config().insts;
+    match reply {
+        WireReply::Err(msg) => assert!(
+            msg.contains(&format!("{insts} windows"))
+                && msg.contains(&format!("limit of {MAX_ADAPTIVE_WINDOWS}")),
+            "{msg}"
+        ),
         other => panic!("expected err, got {other:?}"),
     }
 

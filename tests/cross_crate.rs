@@ -32,7 +32,7 @@ fn advance_to_equals_per_cycle_ticking() {
     let mut now = 0;
     for &(addr, at) in &accesses {
         for t in now..at {
-            ticked.tick(t + 1);
+            ticked.advance_to(t + 1);
         }
         now = at;
         ticked.access(addr, AccessKind::Read, at);
