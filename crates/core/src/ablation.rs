@@ -117,12 +117,14 @@ pub fn decay_policy(study: &Study, l2: u32, temp: f64) -> Result<Vec<AblationRow
     averaged_rows(study, &configs, l2, temp)
 }
 
-/// Executes one run with a custom core configuration (MSHR / predictor
-/// ablations).
+/// Executes one timing run (no caching) on `core_cfg` and audits it.
+/// Every run goes through here: [`crate::study::execute`] passes the
+/// Table 2 core, the MSHR and predictor ablations their variants.
 ///
 /// # Errors
 ///
-/// Returns [`StudyError`] if the hierarchy cannot be built.
+/// Returns [`StudyError`] if the hierarchy cannot be built or the run
+/// fails its conservation audit.
 pub fn execute_with_core(
     benchmark: Benchmark,
     technique: &Technique,
@@ -135,8 +137,12 @@ pub fn execute_with_core(
         technique.decay_config(),
     ))?;
     let mut core = Core::new(core_cfg, hierarchy);
+    // Replay the memoized stream: every technique/interval point of one
+    // benchmark consumes the identical trace, so generate it once.
     let mut trace = specgen::replay_trace(benchmark, cfg.seed, cfg.insts);
     let stats = core.run(&mut trace, cfg.insts);
+    core.audit()
+        .map_err(|report| StudyError::AuditFailed(report.to_string()))?;
     Ok(RawRun {
         cycles: stats.cycles,
         core: stats,

@@ -2,16 +2,8 @@
 //! go through the [`crate::study::RunCache`] (custom core
 //! configurations, closed-loop adaptive runs).
 
-use std::sync::atomic::Ordering;
-
-// Under `model-check` the sync primitives come from the interleave
-// checker (std-delegating outside a checker run). Note the workers below
-// still run on `std::thread::scope` threads, which the checker cannot
-// schedule — models must call this with `threads <= 1`.
-#[cfg(feature = "model-check")]
-use interleave::sync::{atomic::AtomicUsize, Mutex};
-#[cfg(not(feature = "model-check"))]
-use std::sync::{atomic::AtomicUsize, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Applies `f` to every item across at most `threads` scoped workers and
 /// returns the results in input order. With one worker (or one item) the

@@ -1,4 +1,4 @@
-//! The experiment engine: immutable study context, a sharded concurrent
+//! The experiment engine: immutable study context, a concurrent
 //! run-cache, and batch APIs that fan independent timing runs out across
 //! worker threads.
 //!
@@ -10,10 +10,9 @@
 //! * [`StudyCtx`] — the immutable inputs of a study (configuration plus
 //!   the priced cache geometry). Shared by reference across threads.
 //! * [`RunCache`] — a concurrent memo table of [`RawRun`]s keyed by
-//!   [`RunKey`], split into mutex-guarded shards so many threads can
-//!   insert and look up without a global lock. Duplicate in-flight keys
-//!   are coalesced: the second requester blocks on the first run rather
-//!   than re-simulating.
+//!   [`RunKey`] behind one mutex, held only to probe or update the table.
+//!   Duplicate in-flight keys are coalesced: the second requester blocks
+//!   on the first run rather than re-simulating.
 //! * [`Study`] — the facade binding a context, a cache, and a worker
 //!   count. Single-run calls ([`Study::compare`]) behave exactly as
 //!   before; batch calls ([`Study::compare_many`]) enumerate every
@@ -22,11 +21,9 @@
 //!   request order — so parallel results are byte-identical to the
 //!   sequential path.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -38,13 +35,13 @@ use interleave::sync::{atomic::AtomicU64, Condvar, Mutex};
 #[cfg(not(feature = "model-check"))]
 use std::sync::{atomic::AtomicU64, Condvar, Mutex};
 
-use cachesim::{CacheStats, DecayPolicy, Hierarchy, HierarchyConfig};
+use cachesim::{CacheStats, DecayPolicy};
 use hotleakage::ModelError;
 use leakctl::{Technique, TechniqueKind};
 use runstore::{RecordId, RunStore, StoreCounters};
 use serde::{Deserialize, Serialize};
 use specgen::Benchmark;
-use uarch::{Core, CoreConfig, CoreStats};
+use uarch::{CoreConfig, CoreStats};
 use units::Cycles;
 
 use crate::config::StudyConfig;
@@ -311,8 +308,8 @@ impl StudyCtx {
     }
 }
 
-/// A shard entry: a finished run, or a marker other threads wait on.
-/// The `Ready` run is boxed so a shard full of memos does not pay the
+/// A memo-table entry: a finished run, or a marker other threads wait on.
+/// The `Ready` run is boxed so a table full of memos does not pay the
 /// 280-byte `RawRun` footprint per pending marker too.
 // With the seeded race the Pending variant is matched but never built.
 #[cfg_attr(mutant = "coalesce-race-bug", allow(dead_code))]
@@ -356,22 +353,14 @@ struct PendingGuard<'a> {
 impl Drop for PendingGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            let mut shard = self
-                .cache
-                .shard(&self.key)
-                .lock()
-                // lint: allow(unwrap): a poisoned lock means a worker panicked; propagate
-                .expect("cache shard lock");
-            shard.remove(&self.key);
-            drop(shard);
+            // lint: allow(unwrap): a poisoned lock means a worker panicked; propagate
+            let mut memo = self.cache.memo.lock().expect("run cache lock");
+            memo.remove(&self.key);
+            drop(memo);
             self.inflight.finish();
         }
     }
 }
-
-/// Default shard count: enough that a full figure sweep (hundreds of
-/// keys) rarely contends, cheap enough to allocate per study.
-const DEFAULT_SHARDS: usize = 32;
 
 /// A point-in-time snapshot of [`RunCache`] traffic, as counted by
 /// [`RunCache::get_or_run`] (plain [`RunCache::get`] probes are not
@@ -417,8 +406,8 @@ struct Recall {
 impl Recall {
     /// Fills a memory miss of `key`: a verified disk recall, else a
     /// verified fleet recall, else `compute`. A fleet hit or a fresh run
-    /// is spilled to the store write-behind, so the next restart (or a
-    /// peer recalling from us) is served from disk. The key bytes and
+    /// is appended to the store, so the next restart (or a peer
+    /// recalling from us) is served from disk. The key bytes and
     /// record id are encoded once, here, for all three steps.
     fn fill(
         &self,
@@ -456,18 +445,19 @@ impl Recall {
     }
 }
 
-/// A concurrent memo table of timing runs, sharded by key hash so many
-/// worker threads can memoize without a global lock. In-flight keys are
-/// coalesced: a thread requesting a run another thread is already
-/// executing blocks until that run lands, then reads it from the cache.
+/// A concurrent memo table of timing runs behind one mutex, which is
+/// held only to probe or update the table, never while a run executes.
+/// In-flight keys are coalesced: a thread requesting a run another
+/// thread is already executing blocks until that run lands, then reads
+/// it from the cache.
 ///
 /// Optionally backed by recall tiers attached through [`Study`] (memory
 /// → disk → fleet → compute): memory misses consult a persistent
 /// [`RunStore`], then a [`RemoteTier`], before simulating, and fresh
-/// results are spilled to the store write-behind, so a later process (or
-/// a restarted server) recalls them instead of recomputing.
+/// results are appended to the store, so a later process (or a
+/// restarted server) recalls them instead of recomputing.
 pub struct RunCache {
-    shards: Vec<Mutex<HashMap<RunKey, Slot>>>,
+    memo: Mutex<HashMap<RunKey, Slot>>,
     recall: Recall,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -478,23 +468,16 @@ pub struct RunCache {
 impl fmt::Debug for RunCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RunCache")
-            .field("shards", &self.shards.len())
             .field("len", &self.len())
             .finish()
     }
 }
 
 impl RunCache {
-    /// An empty cache with the default shard count.
+    /// An empty cache.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// An empty cache with `shards` shards (minimum 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
         RunCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            memo: Mutex::new(HashMap::new()),
             recall: Recall::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -508,8 +491,8 @@ impl RunCache {
         self.recall.store.as_ref().map(|store| store.counters())
     }
 
-    /// Blocks until every write-behind spill is durable (no-op without a
-    /// store). Call before expecting another process to see the records.
+    /// Flushes the attached store (no-op without one): its durability
+    /// point. Call before expecting another process to see the records.
     pub fn flush_store(&self) {
         if let Some(store) = &self.recall.store {
             store.flush();
@@ -531,17 +514,13 @@ impl RunCache {
 
     /// Number of finished runs currently memoized.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    // lint: allow(unwrap): a poisoned lock means a worker panicked; propagate
-                    .expect("cache shard lock")
-                    .values()
-                    .filter(|slot| matches!(slot, Slot::Ready(_)))
-                    .count()
-            })
-            .sum()
+        self.memo
+            .lock()
+            // lint: allow(unwrap): a poisoned lock means a worker panicked; propagate
+            .expect("run cache lock")
+            .values()
+            .filter(|slot| matches!(slot, Slot::Ready(_)))
+            .count()
     }
 
     /// Whether no runs are memoized.
@@ -549,16 +528,10 @@ impl RunCache {
         self.len() == 0
     }
 
-    fn shard(&self, key: &RunKey) -> &Mutex<HashMap<RunKey, Slot>> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
-    }
-
     /// The memoized run for `key`, if finished.
     pub fn get(&self, key: &RunKey) -> Option<RawRun> {
         // lint: allow(unwrap): a poisoned lock means a worker panicked; propagate
-        match self.shard(key).lock().expect("cache shard lock").get(key) {
+        match self.memo.lock().expect("run cache lock").get(key) {
             Some(Slot::Ready(run)) => Some(**run),
             _ => None,
         }
@@ -581,8 +554,8 @@ impl RunCache {
         loop {
             // lint: allow(unwrap): a poisoned lock means a worker panicked; propagate
             #[cfg_attr(mutant = "coalesce-race-bug", allow(unused_mut))]
-            let mut shard = self.shard(&key).lock().expect("cache shard lock");
-            match shard.get(&key) {
+            let mut memo = self.memo.lock().expect("run cache lock");
+            match memo.get(&key) {
                 Some(Slot::Ready(r)) => {
                     // A request that waited on another thread's run was
                     // deduplicated work; a first-probe hit is a plain memo
@@ -593,7 +566,7 @@ impl RunCache {
                 }
                 Some(Slot::Pending(inflight)) => {
                     let inflight = Arc::clone(inflight);
-                    drop(shard);
+                    drop(memo);
                     inflight.wait();
                     waited = true;
                     // Either Ready now, or removed because the runner
@@ -603,13 +576,13 @@ impl RunCache {
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     let inflight = Arc::new(InFlight::default());
                     // Publishing the Pending slot before releasing the
-                    // shard is what makes concurrent same-key requests
+                    // table is what makes concurrent same-key requests
                     // coalesce; the seeded race below omits it so every
                     // contender computes (caught by the interleave
                     // checker's coalescing model in CI).
                     #[cfg(not(mutant = "coalesce-race-bug"))]
-                    shard.insert(key, Slot::Pending(Arc::clone(&inflight)));
-                    drop(shard);
+                    memo.insert(key, Slot::Pending(Arc::clone(&inflight)));
+                    drop(memo);
                     let mut guard = PendingGuard {
                         cache: self,
                         key,
@@ -625,16 +598,16 @@ impl RunCache {
                     guard.armed = false;
                     drop(guard);
                     // lint: allow(unwrap): a poisoned lock means a worker panicked; propagate
-                    let mut shard = self.shard(&key).lock().expect("cache shard lock");
+                    let mut memo = self.memo.lock().expect("run cache lock");
                     match &result {
                         Ok(r) => {
-                            shard.insert(key, Slot::Ready(Box::new(*r)));
+                            memo.insert(key, Slot::Ready(Box::new(*r)));
                         }
                         Err(_) => {
-                            shard.remove(&key);
+                            memo.remove(&key);
                         }
                     }
-                    drop(shard);
+                    drop(memo);
                     inflight.finish();
                     return result;
                 }
@@ -757,8 +730,8 @@ impl Study {
         self.cache.store_counters()
     }
 
-    /// Blocks until every write-behind spill is durable (no-op without a
-    /// store); call before another process is expected to reuse the
+    /// Flushes the attached store (no-op without one): its durability
+    /// point. Call before another process is expected to reuse the
     /// store's directory.
     pub fn flush_store(&self) {
         self.cache.flush_store();
@@ -951,33 +924,19 @@ pub fn technique_of(kind: TechniqueKind, interval: u64) -> Technique {
     }
 }
 
-/// Executes one timing run (no caching).
+/// Executes one timing run (no caching) on the Table 2 core.
 ///
 /// # Errors
 ///
-/// Returns [`StudyError`] if the hierarchy cannot be built.
+/// Returns [`StudyError`] if the hierarchy cannot be built or the run
+/// fails its conservation audit.
 pub fn execute(
     benchmark: Benchmark,
     technique: &Technique,
     cfg: &StudyConfig,
     l2_latency: u32,
 ) -> Result<RawRun, StudyError> {
-    let hierarchy = Hierarchy::new(HierarchyConfig::table2(
-        l2_latency,
-        technique.decay_config(),
-    ))?;
-    let mut core = Core::new(CoreConfig::table2(), hierarchy);
-    // Replay the memoized stream: every technique/interval point of one
-    // benchmark consumes the identical trace, so generate it once.
-    let mut trace = specgen::replay_trace(benchmark, cfg.seed, cfg.insts);
-    let stats = core.run(&mut trace, cfg.insts);
-    core.audit()
-        .map_err(|report| StudyError::AuditFailed(report.to_string()))?;
-    Ok(RawRun {
-        cycles: stats.cycles,
-        core: stats,
-        l1d: *core.hierarchy().l1d().stats(),
-    })
+    crate::ablation::execute_with_core(benchmark, technique, cfg, l2_latency, CoreConfig::table2())
 }
 
 /// Audits a (possibly cache-recalled) [`RawRun`] against the per-cache
@@ -1180,7 +1139,7 @@ mod tests {
     #[test]
     fn cache_coalesces_duplicate_inflight_keys() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let cache = RunCache::with_shards(4);
+        let cache = RunCache::new();
         let executions = AtomicUsize::new(0);
         let key = RunKey::of(Benchmark::Gzip, &Technique::gated_vss(512), 11);
         let cfg = quick_cfg();

@@ -34,8 +34,8 @@ impl<T: 'static> JoinHandle<T> {
     /// `Err` with the panic payload if it panicked. Under the checker the
     /// join is itself a scheduler decision point, only enabled once the
     /// target thread has exited; during iteration teardown it returns `Err`
-    /// immediately instead of blocking (so destructors that join — like the
-    /// runstore flusher's — always terminate).
+    /// immediately instead of blocking (so destructors that join a model
+    /// thread always terminate).
     pub fn join(self) -> std::thread::Result<T> {
         match self.imp {
             Imp::Std(handle) => handle.join(),

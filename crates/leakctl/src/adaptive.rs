@@ -131,20 +131,6 @@ impl FeedbackController {
     }
 }
 
-/// Selects the best decay interval from `(interval, net_savings)` pairs —
-/// the oracle the paper's Figures 12/13 use (largest net savings; ties go
-/// to the longer interval, which has the smaller performance loss).
-pub fn best_interval(results: &[(u64, f64)]) -> Option<u64> {
-    results
-        .iter()
-        .max_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        })
-        .map(|&(interval, _)| interval)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,19 +208,6 @@ mod tests {
             fc.observe(&obs(0, 1000));
         }
         assert_eq!(fc.interval(), 256);
-    }
-
-    #[test]
-    fn best_interval_picks_max_savings() {
-        let results = [(1024u64, 0.40), (4096, 0.55), (16384, 0.52)];
-        assert_eq!(best_interval(&results), Some(4096));
-    }
-
-    #[test]
-    fn best_interval_breaks_ties_long() {
-        let results = [(1024u64, 0.50), (4096, 0.50)];
-        assert_eq!(best_interval(&results), Some(4096));
-        assert_eq!(best_interval(&[]), None);
     }
 
     #[test]

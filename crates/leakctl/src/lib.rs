@@ -19,9 +19,10 @@
 //!   models — this is the quantitative form of the paper's reason for not
 //!   studying it.
 //!
-//! [`adaptive`] implements the three adaptive decay-interval schemes the
-//! paper cites (§5.4): per-benchmark oracle selection, Zhou-style adaptive
-//! mode control, and the Velusamy et al. formal feedback controller.
+//! [`adaptive`] implements two of the three adaptive decay-interval
+//! schemes the paper cites (§5.4): Zhou-style adaptive mode control and
+//! the Velusamy et al. formal feedback controller. The third, per-benchmark
+//! oracle selection, is `simcore`'s best-interval sweep.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,13 +2,13 @@
 //! `crates/core/src/study.rs` path so the lock-order rule applies.
 
 fn get_or_run(&self, key: &RunKey) -> RunResult {
-    let mut shard = self.shard(key).lock().expect("cache shard lock");
-    if let Some(hit) = shard.get(key) {
+    let mut memo = self.memo.lock().expect("run cache lock");
+    if let Some(hit) = memo.get(key) {
         return hit.clone();
     }
-    // Violation: blocking on the inflight table while the shard guard is
-    // still live — the deadlock pattern the sharded design forbids.
+    // Violation: blocking on the inflight table while the memo guard is
+    // still live — the deadlock pattern fill coalescing forbids.
     self.inflight.wait(key);
-    drop(shard);
+    drop(memo);
     self.run_uncached(key)
 }

@@ -14,10 +14,10 @@
 //! * **`unwrap`** — `.unwrap()` / `.expect(` outside `#[cfg(test)]`
 //!   modules; library code propagates errors, and the few structurally
 //!   infallible sites say why.
-//! * **`lock-order`** — in the sharded run-cache (`core::study`,
-//!   `core::parallel`), a live shard guard must be dropped before any
-//!   other `.lock(`/`.wait(` call; holding it across a blocking call is
-//!   the deadlock pattern the shard design exists to prevent.
+//! * **`lock-order`** — in the run-cache (`core::study`,
+//!   `core::parallel`), a live memo-table guard must be dropped before
+//!   any other `.lock(`/`.wait(` call; holding it across a blocking call
+//!   is the deadlock pattern fill coalescing exists to prevent.
 //! * **`typed-constant`** — in the Table-2 geometry modules
 //!   (`core::pricing`, `leakctl::economics`), the machine-configuration
 //!   numbers (cell ratio 32.0, 1024 lines, 512 line bits, 30 tag bits)
@@ -78,7 +78,7 @@ pub const ENERGY_MODULES: &[&str] = &[
     "crates/leakctl/src/technique.rs",
 ];
 
-/// Files holding the sharded-lock discipline.
+/// Files holding the memo-table lock discipline.
 pub const LOCK_ORDER_FILES: &[&str] = &["crates/core/src/study.rs", "crates/core/src/parallel.rs"];
 
 /// Modules where the Table-2 machine configuration is spelled out; bare
@@ -176,7 +176,7 @@ pub enum Rule {
     LossyCast,
     /// `.unwrap()` / `.expect(` outside test code.
     UnwrapOutsideTests,
-    /// Another lock acquired while a shard guard is live.
+    /// Another lock acquired while a memo-table guard is live.
     LockOrder,
     /// A bare Table-2 literal shadowing its named constant.
     TypedConstant,
@@ -374,8 +374,8 @@ fn check_unwrap(rel: &Path, lines: &[&str], in_test: &[bool], out: &mut Vec<Viol
     }
 }
 
-/// Guard-liveness scan: from a `let ... shard = ... .lock()` binding until
-/// the matching `drop(shard)` (or the end of the binding's block), any
+/// Guard-liveness scan: from a `let ... memo = ... .lock()` binding until
+/// the matching `drop(memo)` (or the end of the binding's block), any
 /// further `.lock(` or `.wait(` acquisition is a lock-order violation.
 fn check_lock_order(rel: &Path, lines: &[&str], in_test: &[bool], out: &mut Vec<Violation>) {
     let mut depth = 0i32;
@@ -388,7 +388,7 @@ fn check_lock_order(rel: &Path, lines: &[&str], in_test: &[bool], out: &mut Vec<
         }
         let code = line.split("//").next().unwrap_or(line);
         if let Some((gd, _)) = guard {
-            if depth < gd || code.contains("drop(shard)") {
+            if depth < gd || code.contains("drop(memo)") {
                 guard = None;
             } else if (code.contains(".lock(") || code.contains(".wait("))
                 && !has_marker(lines, i, Rule::LockOrder)
@@ -403,10 +403,9 @@ fn check_lock_order(rel: &Path, lines: &[&str], in_test: &[bool], out: &mut Vec<
                 continue;
             }
         }
-        // A new shard-guard binding (possibly re-binding) starts liveness.
+        // A new memo-guard binding (possibly re-binding) starts liveness.
         let t = code.trim_start();
-        if (t.starts_with("let mut shard") || t.starts_with("let shard")) && code.contains(".lock(")
-        {
+        if (t.starts_with("let mut memo") || t.starts_with("let memo")) && code.contains(".lock(") {
             guard = Some((before, i));
         }
     }
@@ -773,22 +772,22 @@ mod tests {
     }
 
     #[test]
-    fn lock_while_shard_guard_live_fires() {
-        let src = "fn f(&self) {\n    let mut shard = self.shard(&key).lock().unwrap();\n    self.inflight.wait();\n    drop(shard);\n}\n";
+    fn lock_while_memo_guard_live_fires() {
+        let src = "fn f(&self) {\n    let mut memo = self.memo.lock().unwrap();\n    self.inflight.wait();\n    drop(memo);\n}\n";
         let v = scan_content(&rel("crates/core/src/study.rs"), src);
         assert!(v.iter().any(|v| v.rule == Rule::LockOrder), "{v:?}");
     }
 
     #[test]
     fn lock_after_drop_is_fine() {
-        let src = "fn f(&self) {\n    let mut shard = self.shard(&key).lock().unwrap();\n    drop(shard);\n    self.inflight.wait();\n}\n";
+        let src = "fn f(&self) {\n    let mut memo = self.memo.lock().unwrap();\n    drop(memo);\n    self.inflight.wait();\n}\n";
         let v = scan_content(&rel("crates/core/src/study.rs"), src);
         assert!(v.iter().all(|v| v.rule != Rule::LockOrder), "{v:?}");
     }
 
     #[test]
     fn guard_dies_with_its_block() {
-        let src = "fn f(&self) {\n    {\n        let shard = m.lock().unwrap();\n    }\n    other.lock();\n}\n";
+        let src = "fn f(&self) {\n    {\n        let memo = m.lock().unwrap();\n    }\n    other.lock();\n}\n";
         let v = scan_content(&rel("crates/core/src/parallel.rs"), src);
         assert!(v.iter().all(|v| v.rule != Rule::LockOrder), "{v:?}");
     }

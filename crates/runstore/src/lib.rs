@@ -30,12 +30,12 @@
 //!   mutant seeds the obvious bug — skipping verification — for the CI
 //!   negative smoke; the corruption and poisoned-peer tests must fail
 //!   under it.)
-//! * **Write-behind fills.** [`RunStore::append`] enqueues the record
-//!   and returns immediately; a dedicated flusher thread drains the
-//!   queue to disk and publishes the index entry once the record is
-//!   durable. [`RunStore::flush`] blocks until the queue is empty (call
-//!   it before handing the directory to another process); dropping the
-//!   store drains too.
+//! * **Synchronous appends.** [`RunStore::append`] writes the framed
+//!   record to the process-private segment on the caller's thread, under
+//!   one segment mutex, and publishes the index entry only once the
+//!   write has succeeded, so a racing recall sees a clean miss or the
+//!   whole record. The record is in the segment file when `append`
+//!   returns; [`RunStore::flush`] has nothing left to wait for.
 //! * **No reclamation.** Invalidated and duplicate records stay on disk
 //!   as dead bytes; nothing rewrites or deletes a segment, so a store
 //!   directory only grows. Deleting it is always safe — every record
@@ -48,26 +48,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, PoisonError};
-
-// Under `model-check` the sync primitives and the flusher thread come
-// from the interleave checker; they delegate to std outside a checker
-// run, so the swap is behaviorally inert (the default build does not
-// compile it at all).
-#[cfg(feature = "model-check")]
-use interleave::sync::{atomic::AtomicU64, Condvar, Mutex, MutexGuard};
-#[cfg(feature = "model-check")]
-use interleave::thread;
-#[cfg(not(feature = "model-check"))]
-use std::sync::{atomic::AtomicU64, Condvar, Mutex, MutexGuard};
-#[cfg(not(feature = "model-check"))]
-use std::thread;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"RUNSEG01";
@@ -144,7 +131,8 @@ pub struct StoreCounters {
     /// Recalls whose read-back verification failed (checksum, framing,
     /// or key mismatch) — each one was turned into a miss.
     pub verify_failures: u64,
-    /// Records accepted for write-behind appending.
+    /// Records accepted for appending (each one written unless the
+    /// filesystem refused it).
     pub appends: u64,
     /// Torn or corrupt tail records skipped while scanning on open.
     pub torn_records: u64,
@@ -162,26 +150,21 @@ struct Loc {
     len: u32,
 }
 
-/// One queued write-behind record.
-struct PendingRecord {
-    id: RecordId,
-    key: Vec<u8>,
-    payload: Vec<u8>,
+/// A poisoned store mutex means a peer thread panicked; the guarded
+/// state (the index map, the open segment) is never left torn, so keep
+/// going.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-struct State {
-    index: HashMap<RecordId, Loc>,
-    pending: VecDeque<PendingRecord>,
-    /// True while the flusher is writing a popped record (the queue is
-    /// empty but the record is not yet durable).
-    writing: bool,
-    closed: bool,
-}
-
-struct Shared {
+/// The persistent run store. See the crate docs for the format and the
+/// durability model.
+pub struct RunStore {
     dir: PathBuf,
-    state: Mutex<State>,
-    cv: Condvar,
+    index: Mutex<HashMap<RecordId, Loc>>,
+    /// This process's open segment, created on the first append. Every
+    /// write happens under this mutex.
+    segment: Mutex<Option<OpenSegment>>,
     hits: AtomicU64,
     misses: AtomicU64,
     verify_failures: AtomicU64,
@@ -190,23 +173,10 @@ struct Shared {
     segments: AtomicU64,
 }
 
-/// A poisoned store mutex means a peer thread panicked; the guarded
-/// state (an index map and a queue) is never left torn, so keep going.
-fn lock(m: &Mutex<State>) -> MutexGuard<'_, State> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The persistent run store. See the crate docs for the format and the
-/// durability model.
-pub struct RunStore {
-    shared: Arc<Shared>,
-    flusher: Option<thread::JoinHandle<()>>,
-}
-
 impl fmt::Debug for RunStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RunStore")
-            .field("dir", &self.shared.dir)
+            .field("dir", &self.dir)
             .field("records", &self.len())
             .finish()
     }
@@ -214,7 +184,7 @@ impl fmt::Debug for RunStore {
 
 impl RunStore {
     /// Opens (creating if needed) the store rooted at `dir`: scans every
-    /// segment, rebuilds the index, and starts the write-behind flusher.
+    /// segment and rebuilds the index.
     ///
     /// # Errors
     ///
@@ -233,43 +203,27 @@ impl RunStore {
             segments += 1;
             torn += scan_segment(&path, &mut index)?;
         }
-        let shared = Arc::new(Shared {
+        Ok(RunStore {
             dir,
-            state: Mutex::new(State {
-                index,
-                pending: VecDeque::new(),
-                writing: false,
-                closed: false,
-            }),
-            cv: Condvar::new(),
+            index: Mutex::new(index),
+            segment: Mutex::new(None),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             verify_failures: AtomicU64::new(0),
             appends: AtomicU64::new(0),
             torn_records: AtomicU64::new(torn),
             segments: AtomicU64::new(segments),
-        });
-        let flusher = {
-            let shared = Arc::clone(&shared);
-            // lint: allow(server-boundary): the store's one background
-            // thread — the write-behind flusher that drains queued
-            // appends to the process-private segment.
-            thread::spawn(move || flusher_loop(&shared))
-        };
-        Ok(RunStore {
-            shared,
-            flusher: Some(flusher),
         })
     }
 
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
-        &self.shared.dir
+        &self.dir
     }
 
     /// Number of records currently addressable through the index.
     pub fn len(&self) -> usize {
-        lock(&self.shared.state).index.len()
+        lock(&self.index).len()
     }
 
     /// Whether the index is empty.
@@ -279,16 +233,14 @@ impl RunStore {
 
     /// Counter snapshot.
     pub fn counters(&self) -> StoreCounters {
-        let records = self.len() as u64;
-        let s = &self.shared;
         StoreCounters {
-            hits: s.hits.load(Ordering::Relaxed),
-            misses: s.misses.load(Ordering::Relaxed),
-            verify_failures: s.verify_failures.load(Ordering::Relaxed),
-            appends: s.appends.load(Ordering::Relaxed),
-            torn_records: s.torn_records.load(Ordering::Relaxed),
-            records,
-            segments: s.segments.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            verify_failures: self.verify_failures.load(Ordering::Relaxed),
+            appends: self.appends.load(Ordering::Relaxed),
+            torn_records: self.torn_records.load(Ordering::Relaxed),
+            records: self.len() as u64,
+            segments: self.segments.load(Ordering::Relaxed),
         }
     }
 
@@ -298,22 +250,22 @@ impl RunStore {
     /// counts a verify failure, and reads as a miss — the caller
     /// recomputes and re-appends; a damaged payload is never returned.
     pub fn recall(&self, id: RecordId, key: &[u8]) -> Option<Vec<u8>> {
-        let loc = match lock(&self.shared.state).index.get(&id) {
+        let loc = match lock(&self.index).get(&id) {
             Some(loc) => loc.clone(),
             None => {
-                self.shared.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
         };
         let bytes = read_record_bytes(&loc).ok();
         match bytes.and_then(|b| verify_record(&b, id, key)) {
             Some(payload) => {
-                self.shared.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(payload)
             }
             None => {
                 self.invalidate(id);
-                self.shared.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -323,45 +275,35 @@ impl RunStore {
     /// callers that decode payloads can treat a payload that fails *their*
     /// decoding as damaged too (the payload is opaque to the store).
     pub fn invalidate(&self, id: RecordId) {
-        let removed = lock(&self.shared.state).index.remove(&id).is_some();
+        let removed = lock(&self.index).remove(&id).is_some();
         if removed {
-            self.shared.verify_failures.fetch_add(1, Ordering::Relaxed);
+            self.verify_failures.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Queues one record for write-behind appending and returns
-    /// immediately. The index entry is published once the record is on
-    /// disk; until then a recall of `id` misses (callers keep fresh runs
-    /// in their own memory tier, so this costs nothing in-process).
-    /// Oversized keys or payloads are silently dropped — the store is a
-    /// cache, and the caller's compute path remains correct without it.
+    /// Appends one record to this process's segment and returns once it
+    /// is written. The index entry is published only after the write
+    /// succeeds, so until then a recall of `id` misses. Oversized keys
+    /// or payloads, and records the filesystem refuses, are silently
+    /// dropped — the store is a cache, and the caller's compute path
+    /// remains correct without it.
     pub fn append(&self, id: RecordId, key: Vec<u8>, payload: Vec<u8>) {
         if key.len() > MAX_KEY_BYTES as usize || payload.len() > MAX_PAYLOAD_BYTES as usize {
             return;
         }
-        let mut state = lock(&self.shared.state);
-        if state.closed {
-            return;
+        self.appends.fetch_add(1, Ordering::Relaxed);
+        let bytes = encode_record(id, &key, &payload);
+        let mut segment = lock(&self.segment);
+        if let Some(loc) = self.write_record(&mut segment, &bytes) {
+            lock(&self.index).insert(id, loc);
         }
-        state.pending.push_back(PendingRecord { id, key, payload });
-        self.shared.appends.fetch_add(1, Ordering::Relaxed);
-        drop(state);
-        self.shared.cv.notify_all();
     }
 
-    /// Blocks until every queued append is durable and indexed. Call
-    /// before handing the directory to another process (or relying on a
-    /// restart to see the records).
-    pub fn flush(&self) {
-        let mut state = lock(&self.shared.state);
-        while !state.pending.is_empty() || state.writing {
-            state = self
-                .shared
-                .cv
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
+    /// Does nothing: every append is in its segment file when
+    /// [`RunStore::append`] returns. Callers still call it before handing
+    /// the directory to another process, because this is the one place
+    /// where a crash-consistent store would `sync_data` the segment.
+    pub fn flush(&self) {}
 
     /// Reads the raw encoded bytes (header, key, payload) of the record
     /// stored under `id`, for serving a fleet recall. The bytes are
@@ -370,55 +312,46 @@ impl RunStore {
     /// exactly as it would be locally. Returns `None` on a miss or any
     /// read failure.
     pub fn export_record(&self, id: RecordId) -> Option<Vec<u8>> {
-        let loc = lock(&self.shared.state).index.get(&id)?.clone();
+        let loc = lock(&self.index).get(&id)?.clone();
         read_record_bytes(&loc).ok()
     }
-}
 
-impl Drop for RunStore {
-    fn drop(&mut self) {
+    /// Writes one encoded record, rotating or creating the
+    /// process-private segment as needed. Returns the record's location,
+    /// or `None` if the filesystem refused (the store is a cache; a
+    /// failed write is not fatal).
+    fn write_record(&self, segment: &mut Option<OpenSegment>, bytes: &[u8]) -> Option<Loc> {
+        if segment
+            .as_ref()
+            .is_some_and(|s| s.len >= SEGMENT_ROTATE_BYTES)
         {
-            let mut state = lock(&self.shared.state);
-            state.closed = true;
+            *segment = None;
         }
-        self.shared.cv.notify_all();
-        if let Some(handle) = self.flusher.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The flusher: drains the pending queue to per-process segment files,
-/// publishing each index entry after its record is written. Exits once
-/// the store is closed *and* the queue is drained, so dropping the store
-/// never loses accepted records.
-fn flusher_loop(shared: &Shared) {
-    let mut segment: Option<OpenSegment> = None;
-    loop {
-        let record = {
-            let mut state = lock(&shared.state);
-            loop {
-                if let Some(record) = state.pending.pop_front() {
-                    state.writing = true;
-                    break record;
-                }
-                if state.closed {
-                    return;
-                }
-                state = shared
-                    .cv
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
+        if segment.is_none() {
+            *segment = create_segment(&self.dir).ok();
+            if segment.is_some() {
+                self.segments.fetch_add(1, Ordering::Relaxed);
             }
-        };
-        let written = write_record(shared, &mut segment, &record);
-        let mut state = lock(&shared.state);
-        state.writing = false;
-        if let Some(loc) = written {
-            state.index.insert(record.id, loc);
         }
-        drop(state);
-        shared.cv.notify_all();
+        let seg = segment.as_mut()?;
+        let offset = seg.len;
+        if seg
+            .file
+            .write_all(bytes)
+            .and_then(|()| seg.file.flush())
+            .is_err()
+        {
+            // The segment is now suspect; drop it so the next write starts
+            // fresh rather than appending after a partial record.
+            *segment = None;
+            return None;
+        }
+        seg.len += bytes.len() as u64;
+        Some(Loc {
+            path: Arc::clone(&seg.path),
+            offset,
+            len: bytes.len() as u32,
+        })
     }
 }
 
@@ -428,55 +361,13 @@ struct OpenSegment {
     len: u64,
 }
 
-/// Writes one record, rotating or creating the process-private segment
-/// as needed. Returns the record's location, or `None` if the filesystem
-/// refused (the store is a cache; a failed spill is not fatal).
-fn write_record(
-    shared: &Shared,
-    segment: &mut Option<OpenSegment>,
-    record: &PendingRecord,
-) -> Option<Loc> {
-    if segment
-        .as_ref()
-        .is_some_and(|s| s.len >= SEGMENT_ROTATE_BYTES)
-    {
-        *segment = None;
-    }
-    if segment.is_none() {
-        *segment = create_segment(shared).ok();
-        if segment.is_some() {
-            shared.segments.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    let seg = segment.as_mut()?;
-    let bytes = encode_record(record.id, &record.key, &record.payload);
-    let offset = seg.len;
-    if seg
-        .file
-        .write_all(&bytes)
-        .and_then(|()| seg.file.flush())
-        .is_err()
-    {
-        // The segment is now suspect; drop it so the next write starts
-        // fresh rather than appending after a partial record.
-        *segment = None;
-        return None;
-    }
-    seg.len += bytes.len() as u64;
-    Some(Loc {
-        path: Arc::clone(&seg.path),
-        offset,
-        len: bytes.len() as u32,
-    })
-}
-
 /// Creates a fresh process-private segment file (never appends to a
 /// scanned one, so concurrent store processes cannot interleave).
-fn create_segment(shared: &Shared) -> io::Result<OpenSegment> {
+fn create_segment(dir: &Path) -> io::Result<OpenSegment> {
     let pid = std::process::id();
     for attempt in 0u32.. {
         let name = format!("seg-{:016x}-{pid:08x}.runs", segment_stamp(attempt));
-        let path = shared.dir.join(name);
+        let path = dir.join(name);
         match fs::OpenOptions::new()
             .write(true)
             .create_new(true)

@@ -1,5 +1,6 @@
 //! Byte-level durability tests for the run store: round-trips, restart
-//! reuse, torn-tail recovery, and flip-one-byte corruption detection.
+//! reuse, torn-tail recovery, flip-one-byte corruption detection, and a
+//! recall racing the appends.
 //!
 //! The corruption tests double as the CI negative smoke: with
 //! `--cfg mutant="store-corruption-bug"` (recall skips read-back
@@ -8,6 +9,7 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use runstore::{RecordId, RunStore, RECORD_HEADER_BYTES, SEGMENT_MAGIC};
 
@@ -66,7 +68,7 @@ fn restart_reuses_the_warm_store() {
             store.append(id, key.clone(), payload(i as u8, 64 + i));
         }
         store.flush();
-    } // dropped: flusher joined, records durable
+    } // dropped: every record was written by its append
 
     let warm = RunStore::open(&dir).expect("open warm");
     assert_eq!(warm.len(), keys.len());
@@ -86,17 +88,64 @@ fn restart_reuses_the_warm_store() {
 }
 
 #[test]
-fn dropping_the_store_flushes_queued_appends() {
-    let dir = scratch("drop-flush");
-    let key = b"queued".to_vec();
+fn dropping_the_store_keeps_every_append() {
+    let dir = scratch("drop-keep");
+    let key = b"unflushed".to_vec();
     let id = RecordId::of(&key, 1);
     {
         let store = RunStore::open(&dir).expect("open");
         store.append(id, key.clone(), payload(9, 100));
-        // No explicit flush: Drop must drain the queue before joining.
+        // No explicit flush: the append is on disk once it returns, so
+        // dropping the store loses nothing.
     }
     let store = RunStore::open(&dir).expect("reopen");
     assert_eq!(store.recall(id, &key), Some(payload(9, 100)));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// One thread appends 200 distinct records while another chases it,
+/// recalling each record until it appears. The index entry is published
+/// only after the record is written, so every recall reads a clean miss
+/// or the exact bytes; a publish before the write would let the reader
+/// see a short record, fail verification and drop the entry for good.
+/// Payloads of 64 KiB keep each write long enough for the reader to land
+/// inside it, and carry the segment past its 8 MiB rotation.
+#[test]
+fn recalls_racing_appends_see_a_miss_or_the_exact_record() {
+    let dir = scratch("racing-recall");
+    let store = RunStore::open(&dir).expect("open");
+    let keys: Vec<Vec<u8>> = (0..200u32)
+        .map(|i| format!("race-{i}").into_bytes())
+        .collect();
+    let body = |i: usize| payload(i as u8, (64 << 10) + i);
+    let written = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for (i, key) in keys.iter().enumerate() {
+                store.append(RecordId::of(key, 5), key.clone(), body(i));
+            }
+            written.store(true, Ordering::Release);
+        });
+        s.spawn(|| {
+            for (i, key) in keys.iter().enumerate() {
+                while !written.load(Ordering::Acquire) {
+                    if let Some(bytes) = store.recall(RecordId::of(key, 5), key) {
+                        assert!(bytes == body(i), "record {i} recalled with wrong bytes");
+                        break;
+                    }
+                }
+            }
+        });
+    });
+    // `assert!`, not `assert_eq!`: a failure must not print 64 KiB.
+    for (i, key) in keys.iter().enumerate() {
+        let hit = store.recall(RecordId::of(key, 5), key);
+        assert!(
+            hit == Some(body(i)),
+            "record {i} must hit once every append has returned"
+        );
+    }
+    assert_eq!(store.counters().verify_failures, 0);
     let _ = fs::remove_dir_all(&dir);
 }
 

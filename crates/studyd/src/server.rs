@@ -36,16 +36,8 @@ use std::any::Any;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, PoisonError};
-
-// Under `model-check` the sync primitives come from the interleave
-// checker; they delegate to std outside a checker run, so the swap is
-// behaviorally inert (the default build does not compile it at all).
-#[cfg(feature = "model-check")]
-use interleave::sync::{atomic::AtomicBool, Mutex, MutexGuard};
-#[cfg(not(feature = "model-check"))]
-use std::sync::{atomic::AtomicBool, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -282,9 +274,8 @@ impl Server {
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
-        // Make every write-behind spill durable before reporting: a
-        // process restarted on the same store path must see every run
-        // this server computed.
+        // The store's durability point: a process restarted on the same
+        // store path must see every run this server computed.
         self.shared.study.flush_store();
         self.shared.report()
     }

@@ -222,7 +222,7 @@ pub struct StoreReport {
     pub misses: u64,
     /// Recalls whose read-back verification failed (turned into misses).
     pub verify_failures: u64,
-    /// Fresh runs queued for write-behind persistence.
+    /// Fresh runs accepted for appending to the store.
     pub appends: u64,
     /// Torn tail records skipped while scanning segments on open.
     pub torn_records: u64,

@@ -1,16 +1,15 @@
 //! Deterministic interleaving checks over the concurrency core.
 //!
-//! These tests run small **closed models** of the three concurrent
-//! subsystems — the coalescing `RunCache`, the `studyd` bounded
-//! `JobQueue`, and the `runstore` write-behind flusher — under
-//! `interleave::Checker`, which explores *every* distinct thread schedule
-//! (up to the preemption bound, with sleep-set pruning of commuting
-//! interleavings) instead of the one schedule a normal test happens to
-//! observe. The dev-dependency graph builds `simcore`/`studyd`/`runstore`
-//! with the `model-check` feature, swapping their `std::sync` primitives
-//! for interleave's instrumented ones; outside a checker run those
-//! delegate straight to std, so every other test in this suite behaves
-//! identically.
+//! These tests run small **closed models** of the two concurrent
+//! subsystems — the coalescing `RunCache` and the `studyd` bounded
+//! `JobQueue` — under `interleave::Checker`, which explores *every*
+//! distinct thread schedule (up to the preemption bound, with sleep-set
+//! pruning of commuting interleavings) instead of the one schedule a
+//! normal test happens to observe. The dev-dependency graph builds
+//! `simcore`/`studyd` with the `model-check` feature, swapping their
+//! `std::sync` primitives for interleave's instrumented ones; outside a
+//! checker run those delegate straight to std, so every other test in
+//! this suite behaves identically.
 //!
 //! With `--cfg mutant="coalesce-race-bug"` (CI negative smoke) the Pending
 //! slot is never published and `coalescing_never_double_computes` must
@@ -66,7 +65,7 @@ fn expect_coverage(name: &str, report: &interleave::Report, floor: usize) {
 #[test]
 fn coalescing_never_double_computes() {
     let report = Checker::new("runcache-coalesce").check(|| {
-        let cache = Arc::new(RunCache::with_shards(1));
+        let cache = Arc::new(RunCache::new());
         let executions = Arc::new(AtomicUsize::new(0));
         let workers: Vec<_> = (0..3)
             .map(|_| {
@@ -116,7 +115,7 @@ fn coalescing_never_double_computes() {
 #[test]
 fn coalescing_failed_fill_releases_waiters() {
     let report = Checker::new("runcache-error").check(|| {
-        let cache = Arc::new(RunCache::with_shards(1));
+        let cache = Arc::new(RunCache::new());
         let executions = Arc::new(AtomicUsize::new(0));
         let workers: Vec<_> = (0..2)
             .map(|_| {
@@ -153,12 +152,12 @@ fn coalescing_failed_fill_releases_waiters() {
     expect_coverage("runcache-error", &report, 40);
 }
 
-/// Distinct keys in the same shard never contend for a fill: both
-/// compute, neither waits, and both land.
+/// Distinct keys never contend for a fill: both compute, neither waits,
+/// and both land.
 #[test]
 fn coalescing_distinct_keys_are_independent_fills() {
     let report = Checker::new("runcache-distinct").check(|| {
-        let cache = Arc::new(RunCache::with_shards(1));
+        let cache = Arc::new(RunCache::new());
         let workers: Vec<_> = [10u32, 20u32]
             .into_iter()
             .map(|latency| {
@@ -250,110 +249,4 @@ fn job_queue_shutdown_drains_accepted_jobs_exactly() {
         assert!(queue.is_closed());
     });
     expect_coverage("jobqueue-shutdown", &report, 5);
-}
-
-// ---------------------------------------------------------------------------
-// runstore write-behind flusher
-// ---------------------------------------------------------------------------
-
-mod store_models {
-    use super::*;
-    use runstore::{RecordId, RunStore};
-    use std::path::PathBuf;
-
-    /// Fresh directory per schedule iteration (the store persists!). The
-    /// counter is a plain std atomic: it changes the directory *name*,
-    /// never the op sequence, so schedules stay deterministic.
-    struct TempDirs {
-        base: PathBuf,
-        next: AtomicUsize,
-    }
-
-    impl TempDirs {
-        fn new(tag: &str) -> Self {
-            TempDirs {
-                base: std::env::temp_dir().join(format!(
-                    "interleave-{}-{}",
-                    tag,
-                    std::process::id()
-                )),
-                next: AtomicUsize::new(0),
-            }
-        }
-
-        fn fresh(&self) -> PathBuf {
-            self.base
-                .join(format!("iter-{}", self.next.fetch_add(1, Ordering::SeqCst)))
-        }
-    }
-
-    impl Drop for TempDirs {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.base);
-        }
-    }
-
-    /// Append on one thread, flush + recall on another, with a racing
-    /// reader: after `flush` returns, the record is durable and read-back
-    /// verification sees exactly the written payload; a concurrent recall
-    /// before the fill lands sees a clean miss, never a torn entry.
-    #[test]
-    fn flusher_flush_is_durable_and_never_torn() {
-        let dirs = Arc::new(TempDirs::new("flush"));
-        let dirs2 = Arc::clone(&dirs);
-        let report = Checker::new("runstore-flush").check(move || {
-            let dir = dirs2.fresh();
-            let store = Arc::new(RunStore::open(&dir).expect("open store"));
-            let id = RecordId::of(b"model-key", 1);
-            let writer = {
-                let store = Arc::clone(&store);
-                thread::spawn(move || store.append(id, b"model-key".to_vec(), vec![0xAB; 24]))
-            };
-            let reader = {
-                let store = Arc::clone(&store);
-                thread::spawn(move || {
-                    // Racing the fill: a miss is fine, a wrong or torn
-                    // payload is not (read-back verification must hold
-                    // under every index-publish interleaving).
-                    if let Some(payload) = store.recall(id, b"model-key") {
-                        assert_eq!(payload, vec![0xAB; 24], "no torn publish");
-                    }
-                })
-            };
-            writer.join().expect("writer");
-            store.flush();
-            assert_eq!(
-                store.recall(id, b"model-key"),
-                Some(vec![0xAB; 24]),
-                "flush means durable and verifiable"
-            );
-            reader.join().expect("reader");
-        });
-        expect_coverage("runstore-flush", &report, 1000);
-    }
-
-    /// Drop-flush durability: dropping the store (no explicit flush)
-    /// closes and joins the flusher, which must drain the pending queue
-    /// first — a reopened store recalls the record in every schedule.
-    #[test]
-    fn flusher_drop_drains_pending_writes() {
-        let dirs = Arc::new(TempDirs::new("drop"));
-        let dirs2 = Arc::clone(&dirs);
-        let report = Checker::new("runstore-drop-flush").check(move || {
-            let dir = dirs2.fresh();
-            let id = RecordId::of(b"drop-key", 2);
-            {
-                let store = RunStore::open(&dir).expect("open store");
-                store.append(id, b"drop-key".to_vec(), vec![0xCD; 16]);
-                // Drop without flush: closing must still drain.
-            }
-            let reopened = RunStore::open(&dir).expect("reopen store");
-            assert_eq!(
-                reopened.recall(id, b"drop-key"),
-                Some(vec![0xCD; 16]),
-                "drop-flush durability"
-            );
-        });
-        expect_coverage("runstore-drop-flush", &report, 30);
-    }
 }
