@@ -10,24 +10,30 @@
 //! `(benchmark, seed)`, replay from a flat array of packed ops
 //! everywhere else.
 //!
-//! Each buffered op is one `u64`, a quarter of a [`MicroOp`]:
+//! Each buffered op is a 3-byte head, and a load, a store or a control
+//! op also has a `u32` payload (its `mem_addr` or `target`) in a second
+//! array:
 //!
-//! | bits | field |
+//! | head bits | field |
 //! |---|---|
-//! | 0–31 | payload: `mem_addr` of a load or store, `target` of a control op, else 0 |
-//! | 32–35 | class |
-//! | 36–42, 43–49, 50–56 | `dest`, `src1`, `src2`: 0 is `None`, `r + 1` is `Some(r)` |
-//! | 57 | `taken` |
-//! | 58, 59, 60 | is-memory, is-control, redirect (control and taken) |
+//! | 0–3 | class |
+//! | 4–9, 10–15, 16–21 | `dest`, `src1`, `src2`: 0 is `None`, `r + 1` is `Some(r)` |
+//! | 22 | `taken` |
+//! | 23 | carries a payload (a memory or control op) |
 //!
-//! The flags let the decode pick the payload's field and the next pc
-//! without branching on the class. No pc is stored: op k + 1 sits at op
-//! k's `target` if op k redirects, else at op k's pc + 4 — the
-//! generator's own rule — and the buffer keeps op 0's pc. An op that
-//! does not round-trip (a payload of 2^32 or more, a register of 127 or
-//! more, a pc off the rule) ends the buffered prefix for good, and
-//! readers get it and everything after it live. So exactness never
-//! depends on the address map; no calibrated profile produces such an op.
+//! About half the ops carry a payload, so an op costs ~5.1 bytes. Heads
+//! sit at a fixed 3-byte stride, so no decode waits on the op before it
+//! to find its head; a reader keeps a second cursor into the payloads and
+//! advances it by the carry bit. The decode masks the payload into
+//! `mem_addr` or `target` by class, without branching, so an op without
+//! one ignores whatever payload the cursor points at. No pc is stored: op
+//! k + 1 sits at op k's `target` if op k is a taken control op, else at
+//! op k's pc + 4 — the generator's own rule — and the buffer keeps op 0's
+//! pc. An op that does not round-trip (a payload of 2^32 or more, a
+//! register of 63 or more, a pc off the rule) ends the buffered prefix for
+//! good, and readers get it and everything after it live. So exactness
+//! never depends on the address map; no calibrated profile produces such
+//! an op.
 //!
 //! [`replay_trace`] is bit-identical to driving a fresh [`SpecTrace`]:
 //! the buffer decodes to exactly the generator's output, and a reader
@@ -43,26 +49,23 @@ use uarch::trace::TraceSource;
 
 use crate::{Benchmark, SpecTrace};
 
-/// Longest stream the arena buffers, in ops (8 B each: 2 M ops = 16 MB
-/// per stream). Longer requests are generated but not buffered further;
-/// the reader streams live past the cap, so results never change — only
-/// the sharing does.
-const MAX_MEMO_OPS: u64 = 2_000_000;
+/// Longest stream the arena buffers, in ops (~5.1 B each: 3 M ops is
+/// ~15 MB per stream). Longer requests are generated but not buffered
+/// further; the reader streams live past the cap, so results never
+/// change — only the sharing does.
+const MAX_MEMO_OPS: u64 = 3_000_000;
 
-const PAYLOAD: u64 = 0xFFFF_FFFF;
-const CLASS_SHIFT: u32 = 32;
-const DEST_SHIFT: u32 = 36;
-const SRC1_SHIFT: u32 = 43;
-const SRC2_SHIFT: u32 = 50;
-const REG_MASK: u64 = 0x7F;
-const TAKEN_BIT: u32 = 57;
-const MEM_BIT: u32 = 58;
-const CONTROL_BIT: u32 = 59;
-const REDIRECT_BIT: u32 = 60;
+const CLASS_MASK: u32 = 0xF;
+const DEST_SHIFT: u32 = 4;
+const SRC1_SHIFT: u32 = 10;
+const SRC2_SHIFT: u32 = 16;
+const REG_MASK: u32 = 0x3F;
+const TAKEN_BIT: u32 = 22;
+const CARRY_BIT: u32 = 23;
 
 /// [`OpClass`] by discriminant, padded to the 4-bit field so the decode
 /// indexes it without a bounds check. [`pack`] never writes a padding
-/// index: it only keeps words that decode back to their op.
+/// index: it only keeps heads that decode back to their op.
 const CLASSES: [OpClass; 16] = {
     use OpClass::*;
     [
@@ -71,9 +74,10 @@ const CLASSES: [OpClass; 16] = {
     ]
 };
 
-/// Packs `op`, or `None` if it does not round-trip: a payload of 2^32 or
-/// more, a register of 127 or more, or a field its class does not carry.
-fn pack(op: &MicroOp) -> Option<u64> {
+/// Packs `op` into its head and, for a memory or control op, its
+/// payload; `None` if it does not round-trip: a payload of 2^32 or more,
+/// a register of 63 or more, or a field its class does not carry.
+fn pack(op: &MicroOp) -> Option<([u8; 3], Option<u32>)> {
     let mem = op.class.is_mem();
     let control = op.class.is_control();
     let payload = if mem {
@@ -83,62 +87,78 @@ fn pack(op: &MicroOp) -> Option<u64> {
     } else {
         0
     };
+    let payload = u32::try_from(payload).ok()?;
+    let carry = mem || control;
     let reg = |r: Option<u8>| match r {
         None => Some(0),
-        Some(r) => Some(u64::from(r) + 1).filter(|&bits| bits <= REG_MASK),
+        Some(r) => Some(u32::from(r) + 1).filter(|&bits| bits <= REG_MASK),
     };
-    let word = u64::from(u32::try_from(payload).ok()?)
-        | (op.class as u64) << CLASS_SHIFT
+    let head = op.class as u32
         | reg(op.dest)? << DEST_SHIFT
         | reg(op.src1)? << SRC1_SHIFT
         | reg(op.src2)? << SRC2_SHIFT
-        | u64::from(op.taken) << TAKEN_BIT
-        | u64::from(mem) << MEM_BIT
-        | u64::from(control) << CONTROL_BIT
-        | u64::from(control && op.taken) << REDIRECT_BIT;
-    (unpack(word, op.pc) == *op).then_some(word)
+        | u32::from(op.taken) << TAKEN_BIT
+        | u32::from(carry) << CARRY_BIT;
+    let [a, b, c, _] = head.to_le_bytes();
+    (unpack(head, payload, op.pc) == *op).then_some(([a, b, c], carry.then_some(payload)))
 }
 
-/// The op `word` packs, placed at `pc`.
+/// The op `head` packs, with `payload` and placed at `pc`.
 #[inline]
-fn unpack(word: u64, pc: u64) -> MicroOp {
-    let payload = word & PAYLOAD;
-    // All ones when the flag is set, so the payload goes to its field
-    // without a branch.
-    let mask = |bit: u32| 0u64.wrapping_sub(word >> bit & 1);
-    let reg = |shift: u32| ((word >> shift & REG_MASK) as u8).checked_sub(1);
+fn unpack(head: u32, payload: u32, pc: u64) -> MicroOp {
+    let class = CLASSES[(head & CLASS_MASK) as usize];
+    // All ones when `on`, so the payload goes to its field without a
+    // branch.
+    let mask = |on: bool| 0u64.wrapping_sub(u64::from(on));
+    let reg = |shift: u32| ((head >> shift & REG_MASK) as u8).checked_sub(1);
     MicroOp {
         pc,
-        class: CLASSES[(word >> CLASS_SHIFT & 0xF) as usize],
+        class,
         dest: reg(DEST_SHIFT),
         src1: reg(SRC1_SHIFT),
         src2: reg(SRC2_SHIFT),
-        mem_addr: payload & mask(MEM_BIT),
-        taken: word >> TAKEN_BIT & 1 == 1,
-        target: payload & mask(CONTROL_BIT),
+        mem_addr: u64::from(payload) & mask(class.is_mem()),
+        taken: head >> TAKEN_BIT & 1 == 1,
+        target: u64::from(payload) & mask(class.is_control()),
     }
 }
 
-/// The pc of the op after the packed `word` at `pc`.
+/// The pc of the op after the op `head` packs, with `payload` and at
+/// `pc`.
 #[inline]
-fn next_pc(word: u64, pc: u64) -> u64 {
+fn next_pc(head: u32, payload: u32, pc: u64) -> u64 {
+    let control = CLASSES[(head & CLASS_MASK) as usize].is_control();
     #[cfg(not(mutant = "arena-pc-bug"))]
-    let redirect = word >> REDIRECT_BIT & 1 == 1;
+    let taken = head >> TAKEN_BIT & 1 == 1;
     // Seeded bug for the CI negative smoke: the decode steps every pc by
     // 4, so the ops after a taken branch, a call or a return replay at
     // the wrong pc.
     #[cfg(mutant = "arena-pc-bug")]
-    let redirect = false;
-    if redirect {
-        word & PAYLOAD
+    let taken = false;
+    if control && taken {
+        u64::from(payload)
     } else {
         pc + 4
     }
 }
 
+/// How far the payload cursor moves past the op `head` packs: one if it
+/// carries a payload, else none.
+#[inline]
+fn payload_step(head: u32) -> usize {
+    #[cfg(not(mutant = "arena-payload-bug"))]
+    let step = head >> CARRY_BIT & 1;
+    // Seeded bug for the CI negative smoke: the cursor moves on every
+    // op, so a memory or control op after an op without a payload takes
+    // a later op's payload.
+    #[cfg(mutant = "arena-payload-bug")]
+    let step = head >> CARRY_BIT | 1;
+    step as usize
+}
+
 /// The pc of the op after `op`, by the generator's own rule
 /// (`SpecTrace::next_op`): a taken control op jumps to its target. It
-/// reads the op's fields, not the packed flags, so a wrong decode in
+/// reads the op's fields, not the packed head, so a wrong decode in
 /// [`next_pc`] cannot also pass the check that admits ops to a prefix.
 fn successor_pc(op: &MicroOp) -> u64 {
     if op.class.is_control() && op.taken {
@@ -155,7 +175,10 @@ struct Prefix {
     first_pc: u64,
     /// The pc the op after the prefix must carry to be packed.
     end_pc: u64,
-    ops: Vec<u64>,
+    /// One head per op.
+    heads: Vec<[u8; 3]>,
+    /// The payloads of the ops whose head carries one, in op order.
+    payloads: Vec<u32>,
     /// The generator as it stood after the prefix: the checkpoint a
     /// reader past the prefix clones.
     rest: SpecTrace,
@@ -170,7 +193,8 @@ impl Prefix {
         Prefix {
             first_pc: 0,
             end_pc: 0,
-            ops: Vec::new(),
+            heads: Vec::new(),
+            payloads: Vec::new(),
             rest: gen,
             misfit: None,
         }
@@ -178,13 +202,14 @@ impl Prefix {
 
     /// Appends `op` if it packs and sits at the pc the prefix implies.
     fn push(&mut self, op: &MicroOp) -> bool {
-        if self.ops.is_empty() {
+        if self.heads.is_empty() {
             self.first_pc = op.pc;
             self.end_pc = op.pc;
         }
         match pack(op) {
-            Some(word) if op.pc == self.end_pc => {
-                self.ops.push(word);
+            Some((head, payload)) if op.pc == self.end_pc => {
+                self.heads.push(head);
+                self.payloads.extend(payload);
                 self.end_pc = successor_pc(op);
                 true
             }
@@ -195,24 +220,29 @@ impl Prefix {
     /// This prefix continued from its checkpoint to `want` ops, or to the
     /// first op that does not pack.
     fn grown(&self, want: usize) -> Prefix {
-        let mut ops = Vec::with_capacity(want);
-        ops.extend_from_slice(&self.ops);
+        let mut heads = Vec::with_capacity(want);
+        heads.extend_from_slice(&self.heads);
+        // At most one payload per op; the slack is released below.
+        let mut payloads = Vec::with_capacity(want);
+        payloads.extend_from_slice(&self.payloads);
         let mut grown = Prefix {
             first_pc: self.first_pc,
             end_pc: self.end_pc,
-            ops,
+            heads,
+            payloads,
             rest: self.rest.clone(),
             misfit: None,
         };
-        while grown.ops.len() < want {
+        while grown.heads.len() < want {
             // lint: allow(unwrap): SpecTrace::next_op never returns None
             let op = grown.rest.next_op().expect("SpecTrace is endless");
             if !grown.push(&op) {
                 grown.misfit = Some(op);
-                grown.ops.shrink_to_fit();
+                grown.heads.shrink_to_fit();
                 break;
             }
         }
+        grown.payloads.shrink_to_fit();
         grown
     }
 }
@@ -238,7 +268,7 @@ impl Slot {
             .prefix
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if prefix.ops.len() < want && prefix.misfit.is_none() {
+        if prefix.heads.len() < want && prefix.misfit.is_none() {
             *prefix = Arc::new(prefix.grown(want));
         }
         Arc::clone(&prefix)
@@ -278,7 +308,10 @@ pub fn replay_trace(benchmark: Benchmark, seed: u64, insts: u64) -> ReplayTrace 
 #[derive(Debug, Clone)]
 pub struct ReplayTrace {
     prefix: Arc<Prefix>,
+    /// The op the next read decodes.
     cursor: usize,
+    /// The payload of the first op at or after `cursor` that carries one.
+    payload: usize,
     /// The pc of the op at `cursor`.
     pc: u64,
     /// Live continuation, cloned from the checkpoint on the first read
@@ -292,6 +325,7 @@ impl ReplayTrace {
             pc: prefix.first_pc,
             prefix,
             cursor: 0,
+            payload: 0,
             tail: None,
         }
     }
@@ -308,12 +342,19 @@ impl ReplayTrace {
 }
 
 impl TraceSource for ReplayTrace {
-    #[inline]
+    // Forced: the core calls this once per op, and with a plain `#[inline]`
+    // the release build (thin LTO, one codegen unit) keeps it out of line.
+    #[inline(always)]
     fn next_op(&mut self) -> Option<MicroOp> {
-        if let Some(&word) = self.prefix.ops.get(self.cursor) {
+        if let Some(&[a, b, c]) = self.prefix.heads.get(self.cursor) {
             self.cursor += 1;
-            let op = unpack(word, self.pc);
-            self.pc = next_pc(word, self.pc);
+            let head = u32::from_le_bytes([a, b, c, 0]);
+            // An op without a payload reads its successor's, or 0 past
+            // the last one, and masks it out.
+            let payload = self.prefix.payloads.get(self.payload).copied().unwrap_or(0);
+            self.payload += payload_step(head);
+            let op = unpack(head, payload, self.pc);
+            self.pc = next_pc(head, payload, self.pc);
             return Some(op);
         }
         self.next_live()
@@ -332,6 +373,19 @@ mod tests {
             let mut replay = replay_trace(b, 77, 2_000);
             for i in 0..5_000 {
                 assert_eq!(live.next_op(), replay.next_op(), "{b}, op {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn calibrated_streams_pack_their_first_250k_ops() {
+        // An op the layout cannot hold sends the rest of its stream to
+        // live generation: runs only slow down, so no output shows it.
+        for b in Benchmark::ALL {
+            for seed in [12345, 1, 2] {
+                let prefix = Slot::new(SpecTrace::new(b, seed)).prefix(250_000);
+                assert_eq!(prefix.misfit, None, "{b}, seed {seed}");
+                assert_eq!(prefix.heads.len(), 250_000, "{b}, seed {seed}");
             }
         }
     }
@@ -364,13 +418,15 @@ mod tests {
     fn longer_request_regrows_the_buffer() {
         let short = replay_trace(Benchmark::Vortex, 3, 200);
         let long = replay_trace(Benchmark::Vortex, 3, 2_000);
-        assert!(long.prefix.ops.len() >= 2_000);
+        assert!(long.prefix.heads.len() >= 2_000);
         // The regrown buffer still starts with the identical prefix.
-        assert_eq!(&long.prefix.ops[..200], &short.prefix.ops[..]);
+        assert_eq!(&long.prefix.heads[..200], &short.prefix.heads[..]);
+        let carried = short.prefix.payloads.len();
+        assert_eq!(&long.prefix.payloads[..carried], &short.prefix.payloads[..]);
     }
 
     fn decoded(prefix: Prefix) -> Vec<MicroOp> {
-        let n = prefix.ops.len();
+        let n = prefix.heads.len();
         let mut reader = ReplayTrace::new(Arc::new(prefix));
         (0..n).map_while(|_| reader.next_op()).collect()
     }
@@ -382,10 +438,10 @@ mod tests {
     #[test]
     fn every_class_round_trips_with_its_pc() {
         let ops = [
-            MicroOp::alu(0x1000, 0, None, Some(126)),
+            MicroOp::alu(0x1000, 0, None, Some(62)),
             MicroOp {
                 src1: Some(30),
-                ..MicroOp::load(0x1004, 126, 0xFFFF_FFF8)
+                ..MicroOp::load(0x1004, 62, 0xFFFF_FFF8)
             },
             MicroOp::store(0x1008, 7, 0x7F00_0040),
             MicroOp::branch(0x100c, false, 0x2000),
@@ -423,7 +479,7 @@ mod tests {
         let first = MicroOp::alu(0x1000, 1, None, None);
         let misfits = [
             ("a payload of 2^32", MicroOp::load(0x1004, 1, 1 << 32)),
-            ("register 127", MicroOp::alu(0x1004, 127, None, None)),
+            ("register 63", MicroOp::alu(0x1004, 63, None, None)),
             ("a pc off the rule", MicroOp::alu(0x1010, 1, None, None)),
             ("a target on an ALU op", {
                 let mut op = MicroOp::branch(0x1004, false, 0x2000);
@@ -450,7 +506,7 @@ mod tests {
             .misfit
             .expect("a chase load past 2^32 ends the prefix");
         assert!(misfit.mem_addr >> 32 != 0, "{misfit:?}");
-        assert!(prefix.ops.len() < 5_000);
+        assert!(prefix.heads.len() < 5_000);
         assert!(
             Arc::ptr_eq(&prefix, &slot.prefix(6_000)),
             "a final prefix is not regrown"
