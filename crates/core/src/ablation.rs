@@ -117,9 +117,9 @@ pub fn decay_policy(study: &Study, l2: u32, temp: f64) -> Result<Vec<AblationRow
     averaged_rows(study, &configs, l2, temp)
 }
 
-/// Executes one timing run (no caching) on `core_cfg` and audits it.
-/// Every run goes through here: [`crate::study::execute`] passes the
-/// Table 2 core, the MSHR and predictor ablations their variants.
+/// Executes one timing run (no caching) on `core_cfg` in one window and
+/// audits it: [`crate::study::execute`] passes the Table 2 core, the MSHR
+/// and predictor ablations their variants.
 ///
 /// # Errors
 ///
@@ -132,6 +132,45 @@ pub fn execute_with_core(
     l2_latency: u32,
     core_cfg: CoreConfig,
 ) -> Result<RawRun, StudyError> {
+    execute_in_windows(
+        benchmark,
+        technique,
+        cfg,
+        l2_latency,
+        core_cfg,
+        cfg.insts,
+        |_| {},
+    )
+}
+
+/// The one execution body of every timing run: builds the hierarchy, the
+/// core and the trace, advances the run `window_insts` instructions at a
+/// time, calling `between` on the open run after each window (the
+/// closed-loop controllers of [`crate::adaptive`] observe and retune
+/// there), then finishes the run once and audits it.
+///
+/// # Panics
+///
+/// Panics if `window_insts` is 0 while `cfg.insts` is not: such a run
+/// could never advance.
+///
+/// # Errors
+///
+/// Returns [`StudyError`] if the hierarchy cannot be built or the run
+/// fails its conservation audit.
+pub(crate) fn execute_in_windows(
+    benchmark: Benchmark,
+    technique: &Technique,
+    cfg: &StudyConfig,
+    l2_latency: u32,
+    core_cfg: CoreConfig,
+    window_insts: u64,
+    mut between: impl FnMut(&mut Core),
+) -> Result<RawRun, StudyError> {
+    assert!(
+        window_insts > 0 || cfg.insts == 0,
+        "a run in 0-instruction windows never advances"
+    );
     let hierarchy = Hierarchy::new(HierarchyConfig::table2(
         l2_latency,
         technique.decay_config(),
@@ -140,7 +179,14 @@ pub fn execute_with_core(
     // Replay the memoized stream: every technique/interval point of one
     // benchmark consumes the identical trace, so generate it once.
     let mut trace = specgen::replay_trace(benchmark, cfg.seed, cfg.insts);
-    let stats = core.run(&mut trace, cfg.insts);
+    let mut done = 0;
+    while done < cfg.insts {
+        let window = window_insts.min(cfg.insts - done);
+        core.advance(&mut trace, window);
+        done += window;
+        between(&mut core);
+    }
+    let stats = core.finish();
     core.audit()
         .map_err(|report| StudyError::AuditFailed(report.to_string()))?;
     Ok(RawRun {

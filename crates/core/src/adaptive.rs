@@ -8,12 +8,12 @@
 //! misses are observed, and the controller retunes the decay interval
 //! between windows.
 
-use cachesim::{Hierarchy, HierarchyConfig};
 use leakctl::{IntervalObservation, Technique, TechniqueKind};
 use serde::{Deserialize, Serialize};
 use specgen::Benchmark;
-use uarch::{Core, CoreConfig};
+use uarch::CoreConfig;
 
+use crate::ablation::execute_in_windows;
 use crate::config::StudyConfig;
 use crate::parallel;
 use crate::study::{default_threads, technique_of, RawRun, StudyError, MAX_ADAPTIVE_WINDOWS};
@@ -55,7 +55,7 @@ pub struct AdaptiveRun {
 /// Returns [`StudyError::EmptyAdaptiveWindow`] if `window_insts` is 0,
 /// [`StudyError::TooManyWindows`] if the run would take more than
 /// [`MAX_ADAPTIVE_WINDOWS`] windows, or another [`StudyError`] if the
-/// hierarchy cannot be built.
+/// hierarchy cannot be built or the run fails its conservation audit.
 pub fn run_adaptive(
     benchmark: Benchmark,
     kind: TechniqueKind,
@@ -76,13 +76,6 @@ pub fn run_adaptive(
         tags_decay: false,
         ..technique_of(kind, initial)
     };
-    let hierarchy = Hierarchy::new(HierarchyConfig::table2(
-        l2_latency,
-        technique.decay_config(),
-    ))?;
-    let mut core = Core::new(CoreConfig::table2(), hierarchy);
-    let mut trace = specgen::replay_trace(benchmark, cfg.seed, cfg.insts);
-
     let mut amc = leakctl::AdaptiveModeControl::new(initial, 1024, 65536);
     let mut fc = match controller {
         Controller::Feedback { setpoint } => Some(leakctl::FeedbackController::new(
@@ -92,41 +85,41 @@ pub fn run_adaptive(
     };
 
     let mut interval_trace = Vec::new();
-    let mut done = 0u64;
     let mut prev_induced = 0u64;
     let mut prev_misses = 0u64;
     let mut prev_accesses = 0u64;
-    while done < cfg.insts {
-        let batch = window_insts.min(cfg.insts - done);
-        core.run(&mut trace, batch);
-        done += batch;
-        let s = core.hierarchy().l1d().stats();
-        let obs = IntervalObservation {
-            induced_misses: s.induced_misses - prev_induced,
-            total_misses: (s.induced_misses + s.true_misses) - prev_misses,
-            accesses: (s.reads + s.writes) - prev_accesses,
-        };
-        prev_induced = s.induced_misses;
-        prev_misses = s.induced_misses + s.true_misses;
-        prev_accesses = s.reads + s.writes;
-        let next = match &mut fc {
-            Some(fc) => fc.observe(&obs),
-            None => amc.observe(&obs),
-        };
-        core.hierarchy_mut().set_l1d_decay_interval(next);
-        interval_trace.push(next);
-    }
-    core.audit()
-        .map_err(|report| StudyError::AuditFailed(report.to_string()))?;
-    let stats = *core.stats();
-    let l1d = *core.hierarchy().l1d().stats();
+    let raw = execute_in_windows(
+        benchmark,
+        &technique,
+        cfg,
+        l2_latency,
+        CoreConfig::table2(),
+        window_insts,
+        |core| {
+            // The new interval restarts the decay counters at the L1D's
+            // clock, so first bring the L1D's decay up to the last commit.
+            let now = core.now();
+            core.hierarchy_mut().advance_to(now);
+            let s = core.hierarchy().l1d().stats();
+            let obs = IntervalObservation {
+                induced_misses: s.induced_misses - prev_induced,
+                total_misses: (s.induced_misses + s.true_misses) - prev_misses,
+                accesses: (s.reads + s.writes) - prev_accesses,
+            };
+            prev_induced = s.induced_misses;
+            prev_misses = s.induced_misses + s.true_misses;
+            prev_accesses = s.reads + s.writes;
+            let next = match &mut fc {
+                Some(fc) => fc.observe(&obs),
+                None => amc.observe(&obs),
+            };
+            core.hierarchy_mut().set_l1d_decay_interval(next);
+            interval_trace.push(next);
+        },
+    )?;
     let final_interval = interval_trace.last().copied().unwrap_or(initial);
     Ok(AdaptiveRun {
-        raw: RawRun {
-            cycles: stats.cycles,
-            core: stats,
-            l1d,
-        },
+        raw,
         interval_trace,
         final_interval,
     })

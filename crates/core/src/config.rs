@@ -29,9 +29,12 @@ pub struct StudyConfig {
     /// Supply voltage, volts (the paper: 0.9 V).
     pub vdd: f64,
     /// Committed instructions simulated per benchmark run. The paper runs
-    /// 500 M after a 2 B-instruction skip; the statistical generators have
-    /// no startup transient, so far shorter runs reach steady state (the
-    /// default suits tests; figure regeneration uses more).
+    /// 500 M after a 2 B-instruction skip; every run here measures from
+    /// its first instruction, with empty caches, so short runs include
+    /// the cold start: the means still move between 250 k and 4 M
+    /// instructions (EXPERIMENTS.md "Run-length convergence"; warm-start
+    /// windows are ROADMAP item 2). The default suits tests; figure
+    /// regeneration uses more.
     pub insts: u64,
     /// Workload-generator seed.
     pub seed: u64,

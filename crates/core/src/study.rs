@@ -54,9 +54,11 @@ use crate::pricing::{self, CacheArrays};
 pub const MAX_SWEEP_INTERVALS: usize = 64;
 
 /// The most observation windows one closed-loop adaptive run may take.
-/// Each window ends in a full settle of the L1D and an interval restart,
-/// so a run in 1-instruction windows costs about 90 times as much as one
-/// in 2 k-instruction windows; the in-repo callers take at most 12.
+/// Each window ends in an interval restart, which resets every L1D
+/// line's decay counter and rebuilds the decay due lists: about 7 µs a
+/// window on a 2-vCPU VM (gated-V_ss runs of 20 k instructions in 1,000
+/// windows against 10), so the cap bounds that cost at ~7 ms a run. The
+/// in-repo callers take at most 12.
 pub const MAX_ADAPTIVE_WINDOWS: u64 = 1024;
 
 /// Errors from running experiments.
@@ -940,8 +942,8 @@ pub fn execute(
 }
 
 /// Audits a (possibly cache-recalled) [`RawRun`] against the per-cache
-/// conservation laws: since [`uarch::Core::run`] finalizes the hierarchy
-/// at the final commit cycle, the L1D integrals must satisfy
+/// conservation laws: since [`uarch::Core::finish`] finalizes the
+/// hierarchy at the final commit cycle, the L1D integrals must satisfy
 /// `mode_cycles.total() == num_lines × cycles` exactly, on top of access
 /// conservation and transition pairing.
 ///

@@ -57,7 +57,6 @@ pub mod bsim3;
 pub mod butts_sohi;
 pub mod cell;
 pub mod consts;
-pub mod dvs;
 pub mod error;
 pub mod gate_leakage;
 pub mod kdesign;

@@ -80,8 +80,8 @@ pub struct Core {
     /// Commit time of the most recently processed instruction (in-order
     /// commit floor).
     last_commit: u64,
-    /// Ops of each class processed since [`Core::run`] last folded them
-    /// into `stats`, by [`OpClass`] discriminant.
+    /// Ops of each class processed since [`Core::advance`] last folded
+    /// them into `stats`, by [`OpClass`] discriminant.
     class_counts: [u64; OpClass::ALL.len()],
     stats: CoreStats,
 }
@@ -184,23 +184,31 @@ impl Core {
         self.last_commit
     }
 
-    /// Consumes the core, returning the hierarchy (after a run, for
-    /// leakage accounting).
-    pub fn into_hierarchy(self) -> Hierarchy {
-        self.hierarchy
+    /// Runs up to `max_insts` instructions from `trace`, then ends the run
+    /// ([`Core::advance`], then [`Core::finish`]); returns the statistics.
+    /// The run ends early if the trace ends.
+    pub fn run<T: TraceSource>(&mut self, trace: &mut T, max_insts: u64) -> CoreStats {
+        self.advance(trace, max_insts);
+        self.finish()
     }
 
-    /// Runs up to `max_insts` instructions from `trace`; returns the
-    /// statistics. The run ends early if the trace ends.
-    pub fn run<T: TraceSource>(&mut self, trace: &mut T, max_insts: u64) -> CoreStats {
+    /// Steps up to `max_insts` instructions from `trace` (fewer if the
+    /// trace ends) and folds their class counts into the statistics. The
+    /// run stays open: a later `advance` continues it from the next op,
+    /// and the hierarchy is not closed until [`Core::finish`].
+    pub fn advance<T: TraceSource>(&mut self, trace: &mut T, max_insts: u64) {
         for _ in 0..max_insts {
-            let Some(op) = trace.next_op() else { break };
-            self.step(&op);
+            let Some(op) = &trace.next_op() else { break };
+            self.step(op);
         }
         self.fold_class_counts();
-        // Close out: bring decay/leakage integrals up to the final cycle.
-        // finalize also drains decay writebacks still pending after the
-        // last data access; charge them as L2 traffic like any other.
+    }
+
+    /// Ends the run at the last commit: sets `cycles`, brings every
+    /// level's decay and leakage integrals up to that cycle, and charges
+    /// the decay writebacks still pending after the last data access as
+    /// L2 traffic like any other. Returns the statistics.
+    pub fn finish(&mut self) -> CoreStats {
         self.stats.cycles = units::Cycles::new(self.last_commit);
         let drained = self.hierarchy.finalize(self.last_commit);
         self.stats.l2_accesses += drained;
@@ -220,7 +228,13 @@ impl Core {
     /// Adds the per-class op counts to `stats` and clears them.
     fn fold_class_counts(&mut self) {
         use OpClass::*;
+        #[cfg(not(mutant = "split-fold-bug"))]
         let n = std::mem::take(&mut self.class_counts);
+        // `split-fold-bug` (CI mutation smoke only): copy the counts and
+        // keep them, so each later fold of one run re-adds every earlier
+        // window's ops.
+        #[cfg(mutant = "split-fold-bug")]
+        let n = self.class_counts;
         let sum = |classes: &[OpClass]| classes.iter().map(|&c| n[c as usize]).sum::<u64>();
         self.stats.loads += n[Load as usize];
         self.stats.stores += n[Store as usize];

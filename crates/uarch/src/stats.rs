@@ -3,7 +3,8 @@
 use serde::{Deserialize, Serialize};
 use units::{Cycles, Ipc};
 
-/// Counters accumulated by [`crate::Core::run`].
+/// Counters accumulated by [`crate::Core::advance`]; [`crate::Core::finish`]
+/// sets `cycles` and charges the last drained writebacks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CoreStats {
     /// Instructions committed.

@@ -75,8 +75,9 @@ fn parallel_batch_path_matches_sequential_comparison() {
 
 #[test]
 fn adaptive_interval_switching_passes_the_audit() {
-    // Interval switches mid-run exercise the counter-reset path; the
-    // post-run audit inside run_adaptive must still come back clean.
+    // Interval switches between windows exercise the counter-reset path;
+    // the audit that ends every run, adaptive runs included, must still
+    // come back clean.
     let run = run_adaptive(
         Benchmark::Gzip,
         TechniqueKind::GatedVss,
